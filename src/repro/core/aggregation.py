@@ -7,10 +7,10 @@ gate commutation, so the rewritten program is always semantically equivalent
 to the input (``AggregationResult.to_circuit()`` flattens the result back to
 a plain circuit, which the tests check against the original by simulation).
 
-The implementation folds the paper's three steps into one scan per
+The implementation folds the paper's three steps into one sweep per
 qubit-node pair, processed in descending order of remote-gate count
 (preprocessing), with commutation-based deferral of intervening gates
-(linear merge, Algorithm 1) and repeated sweeps until no block grows
+(linear merge, Algorithm 1) and repeated rounds until no block grows
 (iterative refinement):
 
 * gates allowed inside a block (single-qubit gates on the hub, local gates
@@ -20,13 +20,22 @@ qubit-node pair, processed in descending order of remote-gate count
   ``non_commute_gates`` bookkeeping;
 * a gate that can neither be absorbed nor deferred closes the block, which
   is the paper's "break" case.
+
+A sweep never reorders the items that survive it.  It only removes the
+gates it absorbs and puts each new block in the slot of the block's first
+gate; deferred items already sit after that slot and the closing item
+after them.  The pass therefore works on one stable slot list (slot *i*
+starts as gate *i*) and a sweep visits only its *windows*, from a block's
+first gate to the item that closes it, instead of copying the whole
+program once per pair.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..comm.blocks import CommBlock
 from ..ir.circuit import Circuit
@@ -82,15 +91,23 @@ class AggregationResult:
 class CommAggregator:
     """Implements the aggregation pass over one circuit and mapping.
 
-    The pass is *indexed*: remote-pair eligibility is precomputed per gate
-    once, the per-pair raw-gate histogram that drives both the processing
-    order and the "anything left for this pair?" check is maintained
-    incrementally as gates are absorbed into blocks, and per-item qubit sets
-    come from caches (:attr:`Gate.qubit_set`, :attr:`CommBlock.touched_set`)
-    instead of per-query allocations.  The output is identical to the
-    original scanning implementation, which is preserved in
-    :mod:`repro.core.aggregation_reference` and diffed against this one by
-    the equivalence tests and the perf-regression benchmark.
+    The program is held as a stable slot list: slot *i* starts as gate *i*
+    and ``_next`` links skip the slots of absorbed gates.  A block takes
+    over the slot of its first gate, so no sweep ever moves a surviving
+    item and the item list is materialised once, after the last sweep.
+
+    A per-pair index (``_pair_slots``) holds, in slot order, the slots of
+    each directed (hub, remote node) pair's raw remote gates; its lengths
+    are the histogram that drives the processing order.  A sweep jumps to
+    the pair's first raw gate, walks ``_next`` from there until the block
+    closes, and repeats until the pair has no raw gate left, so its cost
+    is the length of its windows rather than of the program.  Per-item
+    qubit sets come from caches (:attr:`Gate.qubit_set`,
+    :attr:`CommBlock.touched_set`) instead of per-query allocations.
+
+    The output is identical to the original scanning implementation,
+    which is preserved in :mod:`repro.core.aggregation_reference` and
+    diffed against this one by the equivalence tests.
     """
 
     def __init__(self, circuit: Circuit, mapping: QubitMapping,
@@ -104,114 +121,98 @@ class CommAggregator:
         #: node index per program qubit (dense list; mapping covers 0..n-1).
         self._node: List[int] = [mapping.node_of(q)
                                  for q in range(circuit.num_qubits)]
-        # Filled by run(): id(gate) -> its two (hub, remote-node) pairs, the
-        # live pair histogram, and the count of raw remote gates left.
-        self._gate_pairs: Dict[int, Tuple[Tuple[int, int], Tuple[int, int]]] = {}
-        self._histogram: Counter = Counter()
-        self._raw_remaining = 0
+        # Filled by run(): the slot list and its forward links (a link equal
+        # to len(_slots) ends the list), each slot's two (hub, remote-node)
+        # pairs while it holds a raw remote gate, the per-pair slot index,
+        # and the number of blocks created so far.
+        self._slots: List[ScheduleItem] = []
+        self._next: List[int] = []
+        self._slot_pairs: List[Optional[Tuple[Tuple[int, int],
+                                              Tuple[int, int]]]] = []
+        self._pair_slots: Dict[Tuple[int, int], List[int]] = {}
+        self._blocks_made = 0
 
     # ------------------------------------------------------------------ public
 
     def run(self) -> AggregationResult:
-        items: List[ScheduleItem] = list(self.circuit.gates)
-        self._build_index(items)
+        self._build_index()
         previous_block_count = -1
         for _ in range(self.max_sweeps):
             for pair in self._pairs_by_weight_indexed():
-                if self._histogram[pair] == 0:
-                    continue
-                items = self._aggregate_pair(items, pair)
-            blocks_now = sum(isinstance(i, CommBlock) for i in items)
-            if self._raw_remaining == 0 or blocks_now == previous_block_count:
+                if self._pair_slots[pair]:
+                    self._aggregate_pair(pair)
+            if (not any(self._pair_slots.values())
+                    or self._blocks_made == previous_block_count):
                 break
-            previous_block_count = blocks_now
-        items = self._blockify_leftovers(items)
+            previous_block_count = self._blocks_made
+        items = self._blockify_leftovers(self._live_items())
         blocks = [item for item in items if isinstance(item, CommBlock)]
         return AggregationResult(self.circuit, self.mapping, items, blocks)
 
     # -------------------------------------------------------------- the index
 
-    def _build_index(self, items: Sequence[ScheduleItem]) -> None:
-        """Precompute per-gate remote-pair eligibility and the pair histogram.
+    def _build_index(self) -> None:
+        """Lay out one slot per gate and index the raw remote gates by pair.
 
         A remote two-qubit gate on qubits ``(a, b)`` is eligible for exactly
-        the two directed pairs ``(a, node(b))`` and ``(b, node(a))``; both
-        are recorded so eligibility during a pair sweep is one dict lookup.
+        the two directed pairs ``(a, node(b))`` and ``(b, node(a))``; its
+        slot is recorded under both, so eligibility during a pair sweep is
+        one list lookup.
         """
         node = self._node
-        gate_pairs = self._gate_pairs = {}
-        histogram = self._histogram = Counter()
-        for item in items:
-            if isinstance(item, Gate) and self._is_remote_2q(item):
+        self._slots = list(self.circuit.gates)
+        count = len(self._slots)
+        self._next = list(range(1, count + 1))
+        slot_pairs = self._slot_pairs = [None] * count
+        pair_slots = self._pair_slots = {}
+        self._blocks_made = 0
+        for slot, item in enumerate(self._slots):
+            if self._is_remote_2q(item):
                 a, b = item.qubits
                 pair_a = (a, node[b])
                 pair_b = (b, node[a])
-                gate_pairs[id(item)] = (pair_a, pair_b)
-                histogram[pair_a] += 1
-                histogram[pair_b] += 1
-        self._raw_remaining = sum(1 for item in items
-                                  if id(item) in gate_pairs)
+                slot_pairs[slot] = (pair_a, pair_b)
+                pair_slots.setdefault(pair_a, []).append(slot)
+                pair_slots.setdefault(pair_b, []).append(slot)
 
     def _pairs_by_weight_indexed(self) -> List[Tuple[int, int]]:
-        """Snapshot of the live histogram, ordered like ``_pairs_by_weight``."""
-        ordered = sorted(((pair, count) for pair, count
-                          in self._histogram.items() if count > 0),
+        """Pairs with raw gates left, by descending count, then by pair."""
+        ordered = sorted(((pair, len(slots)) for pair, slots
+                          in self._pair_slots.items() if slots),
                          key=lambda kv: (-kv[1], kv[0]))
         return [pair for pair, _ in ordered]
 
-    def _absorb_into_block(self, gate: Gate) -> None:
-        """Account for a raw remote gate moving into a block."""
-        pair_a, pair_b = self._gate_pairs[id(gate)]
-        self._histogram[pair_a] -= 1
-        self._histogram[pair_b] -= 1
-        self._raw_remaining -= 1
+    def _absorb_into_block(self, slot: int) -> None:
+        """Drop the raw remote gate in ``slot`` from both of its pairs."""
+        pair_slots = self._pair_slots
+        for pair in self._slot_pairs[slot]:
+            slots = pair_slots[pair]
+            del slots[bisect_left(slots, slot)]
+        self._slot_pairs[slot] = None
 
-    # ------------------------------------------------------------- pair order
+    def _live_items(self) -> List[ScheduleItem]:
+        """The items of the linked slots, in program order."""
+        slots, nxt = self._slots, self._next
+        items: List[ScheduleItem] = []
+        slot = 0
+        while slot < len(slots):
+            items.append(slots[slot])
+            slot = nxt[slot]
+        return items
 
     def _is_remote_2q(self, gate: Gate) -> bool:
         return gate.is_two_qubit and self.mapping.is_remote(gate)
 
-    def _pairs_by_weight(self, items: Sequence[ScheduleItem]) -> List[Tuple[int, int]]:
-        """Qubit-node pairs ordered by descending raw remote-gate count."""
-        histogram: Counter = Counter()
-        for item in items:
-            if isinstance(item, Gate) and self._is_remote_2q(item):
-                a, b = item.qubits
-                histogram[(a, self.mapping.node_of(b))] += 1
-                histogram[(b, self.mapping.node_of(a))] += 1
-        ordered = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [pair for pair, _ in ordered]
-
-    def _raw_remote_count(self, items: Sequence[ScheduleItem],
-                          pair: Tuple[int, int]) -> int:
-        qubit, node = pair
-        count = 0
-        for item in items:
-            if isinstance(item, Gate) and self._eligible(item, qubit, node):
-                count += 1
-        return count
-
-    def _eligible(self, gate: Gate, hub: int, remote_node: int) -> bool:
-        """Is ``gate`` a remote two-qubit gate between ``hub`` and ``remote_node``?"""
-        if not self._is_remote_2q(gate):
-            return False
-        if hub not in gate.qubits:
-            return False
-        other = gate.qubits[0] if gate.qubits[1] == hub else gate.qubits[1]
-        return self.mapping.node_of(other) == remote_node
-
     # --------------------------------------------------------- per-pair sweep
 
-    def _aggregate_pair(self, items: List[ScheduleItem],
-                        pair: Tuple[int, int]) -> List[ScheduleItem]:
+    def _aggregate_pair(self, pair: Tuple[int, int]) -> None:
         hub, remote_node = pair
         hub_node = self._node[hub]
-        if hub_node == remote_node:
-            return items
         remote_qubits = frozenset(self.mapping.qubits_on(remote_node))
-        gate_pairs = self._gate_pairs
+        slots, nxt, slot_pairs = self._slots, self._next, self._slot_pairs
+        pending = self._pair_slots[pair]
+        end = len(slots)
 
-        out: List[ScheduleItem] = []
         block: Optional[CommBlock] = None
         block_qubits: Set[int] = set()
         block_by_qubit: Dict[int, List[Gate]] = defaultdict(list)
@@ -236,7 +237,6 @@ class CommAggregator:
             block = None
             block_qubits = set()
             block_by_qubit = defaultdict(list)
-            out.extend(deferred)
             deferred = []
             deferred_by_qubit = defaultdict(list)
             conjunction_memo.clear()
@@ -358,10 +358,23 @@ class CommAggregator:
                 return candidate.touched_set
             return candidate.qubit_set
 
-        for item in items:
+        # ``slot`` walks the open window; ``last_live`` is the nearest
+        # linked slot before it, whose link skips every absorbed gate.
+        slot = last_live = end
+        while True:
+            if block is None:
+                # Between windows nothing changes: jump to the pair's next
+                # raw gate (every earlier one is already absorbed).
+                if not pending:
+                    return
+                slot = pending[0]
+            elif slot == end:
+                return
+            item = slots[slot]
+            following = nxt[slot]
             # Eligibility (a raw remote 2q gate of this exact pair) is one
-            # precomputed lookup; gates already inside blocks are not items.
-            eligible_pairs = gate_pairs.get(id(item))
+            # indexed lookup; gates already inside blocks are not linked.
+            eligible_pairs = slot_pairs[slot]
             if eligible_pairs is not None and (pair == eligible_pairs[0]
                                                or pair == eligible_pairs[1]):
                 # Pulling this gate into the open block hops it over every
@@ -369,46 +382,37 @@ class CommAggregator:
                 if block is not None and deferred and not (
                         self.use_commutation and commutes_with_deferred(item)):
                     close_block()
+                self._absorb_into_block(slot)
                 if block is None:
                     block = CommBlock(hub_qubit=hub, hub_node=hub_node,
                                       remote_node=remote_node)
-                    out.append(block)
+                    slots[slot] = block
+                    self._blocks_made += 1
+                    last_live = slot
+                else:
+                    nxt[last_live] = following
                 absorb(item)
-                self._absorb_into_block(item)
-                continue
-
-            if block is None:
-                out.append(item)
-                continue
-
-            if self._allowed_in_block(item, hub, remote_qubits):
+            elif self._allowed_in_block(item, hub, remote_qubits):
                 # Absorbing keeps the gate at its original position relative
                 # to the block; it only reorders against deferred items.
                 if not deferred or (self.use_commutation
                                     and commutes_with_deferred(item)):
                     absorb(item)
+                    nxt[last_live] = following
                 elif self.use_commutation:
                     defer(item)
+                    last_live = slot
                 else:
                     close_block()
-                    out.append(item)
-                continue
-
-            if not self.use_commutation:
-                close_block()
-                out.append(item)
-                continue
-
-            disjoint_from_block = block_qubits.isdisjoint(item_qubits(item))
-            if (disjoint_from_block or commutes_with_block(item)) \
+            elif self.use_commutation and (
+                    block_qubits.isdisjoint(item_qubits(item))
+                    or commutes_with_block(item)) \
                     and commutes_with_deferred(item):
                 defer(item)
+                last_live = slot
             else:
                 close_block()
-                out.append(item)
-
-        close_block()
-        return out
+            slot = following
 
     def _allowed_in_block(self, item: ScheduleItem, hub: int,
                           remote_qubits: Set[int]) -> bool:

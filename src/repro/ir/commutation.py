@@ -94,11 +94,31 @@ def _pair_key(a: Gate, b: Gate) -> tuple:
 
     Qubits are renumbered by their rank within the pair's qubit union, so
     every concrete pair with the same structural overlap shares one entry.
+    Single-qubit x two-qubit pairs, the bulk of the aggregation pass's
+    cache probes, rank their qubits by comparison instead of sorting.
     """
+    if a._is_single and b._is_two:
+        pos_a, pos_b = _ranks_1q_2q(a.qubits[0], b.qubits)
+        return (a.name, a.params, pos_a, b.name, b.params, pos_b)
+    if a._is_two and b._is_single:
+        pos_b, pos_a = _ranks_1q_2q(b.qubits[0], a.qubits)
+        return (a.name, a.params, pos_a, b.name, b.params, pos_b)
     union = sorted(a._qubit_set | b._qubit_set)
     index = {q: i for i, q in enumerate(union)}
     return (a.name, a.params, tuple(index[q] for q in a.qubits),
             b.name, b.params, tuple(index[q] for q in b.qubits))
+
+
+def _ranks_1q_2q(x: int, pair: Tuple[int, int]
+                 ) -> Tuple[Tuple[int], Tuple[int, int]]:
+    """Union ranks of qubit ``x`` and of a two-qubit gate's ``(c, t)``."""
+    c, t = pair
+    if x == c:
+        return ((0,), (0, 1)) if c < t else ((1,), (1, 0))
+    if x == t:
+        return ((1,), (0, 1)) if c < t else ((0,), (1, 0))
+    return (((c < x) + (t < x),),
+            ((x < c) + (t < c), (x < t) + (c < t)))
 
 
 def commutes(gate_a: Gate, gate_b: Gate) -> bool:

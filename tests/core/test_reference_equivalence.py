@@ -24,7 +24,7 @@ from repro.core import (
     schedule_communications,
     schedule_communications_reference,
 )
-from repro.hardware import uniform_network
+from repro.hardware import apply_topology, uniform_network
 from repro.ir import decompose_to_cx
 from repro.partition import oee_partition, round_robin_mapping
 
@@ -93,6 +93,28 @@ class TestAggregationEquivalence:
         reference = aggregate_communications_reference(circuit, mapping)
         assert _items_signature(optimized.items) == \
             _items_signature(reference.items)
+
+    @pytest.mark.parametrize("use_commutation,max_sweeps", [
+        pytest.param(True, 3, id="default"),
+        pytest.param(False, 3, id="no-commutation"),
+        pytest.param(True, 1, id="one-sweep"),
+    ])
+    def test_dense_qft_on_ring(self, use_commutation, max_sweeps):
+        # All-to-all interactions give every (hub, node) pair many
+        # interleaved windows, with deferred items and earlier blocks
+        # sitting inside them.
+        circuit = decompose_to_cx(qft_circuit(30))
+        network = apply_topology(uniform_network(5, 6), "ring")
+        mapping = oee_partition(circuit, network).mapping
+        optimized = aggregate_communications(
+            circuit, mapping, use_commutation=use_commutation,
+            max_sweeps=max_sweeps)
+        reference = aggregate_communications_reference(
+            circuit, mapping, use_commutation=use_commutation,
+            max_sweeps=max_sweeps)
+        assert _items_signature(optimized.items) == \
+            _items_signature(reference.items)
+        assert optimized.block_sizes() == reference.block_sizes()
 
 
 class TestFullPipelineEquivalence:

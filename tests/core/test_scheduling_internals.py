@@ -119,16 +119,55 @@ class TestAggregatorInternals:
         return CommAggregator(circuit, mapping)
 
     def test_pairs_ordered_by_weight(self, aggregator):
-        pairs = aggregator._pairs_by_weight(list(aggregator.circuit.gates))
-        assert pairs[0] == (0, 1)  # qubit 0 toward node 1 has two remote gates
+        aggregator._build_index()
+        pairs = aggregator._pairs_by_weight_indexed()
+        # Two gates each for (0, 1) and (2, 0); ties break on the pair.
+        assert pairs == [(0, 1), (2, 0), (1, 1), (3, 0)]
 
-    def test_eligible_checks_pair_membership(self, aggregator):
-        gate = Gate("cx", (0, 2))
-        assert aggregator._eligible(gate, 0, 1)
-        assert aggregator._eligible(gate, 2, 0)
-        assert not aggregator._eligible(gate, 0, 0)
-        assert not aggregator._eligible(gate, 1, 1)
-        assert not aggregator._eligible(Gate("cx", (0, 1)), 0, 0)
+    def test_index_holds_slots_per_pair(self, aggregator):
+        aggregator._build_index()
+        assert aggregator._pair_slots == {
+            (0, 1): [0, 1], (2, 0): [0, 2], (3, 0): [1], (1, 1): [2]}
+        assert aggregator._slot_pairs == [
+            ((0, 1), (2, 0)), ((0, 1), (3, 0)), ((1, 1), (2, 0))]
+
+    def test_index_skips_local_gates(self):
+        circuit = Circuit(4).cx(0, 1).h(0).cx(2, 3).cx(1, 3)
+        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
+        aggregator = CommAggregator(circuit, mapping)
+        aggregator._build_index()
+        assert aggregator._slot_pairs == [None, None, None,
+                                          ((1, 1), (3, 0))]
+        assert aggregator._pair_slots == {(1, 1): [3], (3, 0): [3]}
+
+    def test_absorb_updates_both_pairs(self, aggregator):
+        aggregator._build_index()
+        aggregator._absorb_into_block(0)
+        assert aggregator._slot_pairs[0] is None
+        assert aggregator._pair_slots[(0, 1)] == [1]
+        assert aggregator._pair_slots[(2, 0)] == [2]
+        assert aggregator._pairs_by_weight_indexed() == [
+            (0, 1), (1, 1), (2, 0), (3, 0)]
+
+    def test_sweep_drains_pair_and_keeps_block_in_first_slot(self,
+                                                            aggregator):
+        aggregator._build_index()
+        aggregator._aggregate_pair((0, 1))
+        assert aggregator._pair_slots[(0, 1)] == []
+        # Both gates of the pair left the other pairs' index as well.
+        assert aggregator._pair_slots[(2, 0)] == [2]
+        assert aggregator._pair_slots[(3, 0)] == []
+        items = aggregator._live_items()
+        assert isinstance(items[0], CommBlock)
+        assert items[0].gates == [Gate("cx", (0, 2)), Gate("cx", (0, 3))]
+        assert items[1] == Gate("cx", (1, 2))
+        assert len(items) == 2
+
+    def test_run_leaves_index_empty(self, aggregator):
+        result = aggregator.run()
+        assert not any(aggregator._pair_slots.values())
+        assert all(pairs is None for pairs in aggregator._slot_pairs)
+        assert result.num_blocks() == 2
 
     def test_allowed_in_block_rules(self, aggregator):
         remote_qubits = {2, 3}

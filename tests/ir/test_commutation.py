@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import Circuit, Gate, commutes, commutes_through, commutes_with_all
-from repro.ir.commutation import (_matrix_commutes, clear_commutation_cache,
+from repro.ir.commutation import (_matrix_commutes, _pair_key,
+                                  clear_commutation_cache,
                                   commutation_cache_stats,
                                   set_commutation_cache_enabled)
 from repro.ir.commutation_reference import commutes_reference
@@ -230,6 +231,63 @@ class TestRuleMatrixAgreement:
             assert commutes(a, b) is enabled
         finally:
             set_commutation_cache_enabled(previous)
+
+
+
+def _generic_pair_key(a, b):
+    """The canonical key spelled out: rank qubits within the sorted union."""
+    union = sorted(set(a.qubits) | set(b.qubits))
+    index = {q: i for i, q in enumerate(union)}
+    return (a.name, a.params, tuple(index[q] for q in a.qubits),
+            b.name, b.params, tuple(index[q] for q in b.qubits))
+
+
+_SINGLE_POOL = ("x", "h", "t", "sx", "rx", "ry", "rz", "p", "u3")
+_TWO_POOL = ("cx", "cz", "ch", "crz", "cp", "swap", "rzz", "rxx")
+
+
+@st.composite
+def _gate_on(draw, pool, num_qubits):
+    from repro.ir import gate_spec
+
+    name = draw(st.sampled_from(pool))
+    qubits = tuple(draw(st.lists(st.integers(0, 40), min_size=num_qubits,
+                                 max_size=num_qubits, unique=True)))
+    params = tuple(draw(st.floats(-7.0, 7.0, allow_nan=False))
+                   for _ in range(gate_spec(name).num_params))
+    return Gate(name, qubits, params)
+
+
+class TestPairKeyFastPath:
+    """The 1q x 2q key path must return the generic canonical tuple."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gate_on(_SINGLE_POOL, 1), _gate_on(_TWO_POOL, 2),
+           st.sampled_from(("none", "control", "target")), st.booleans())
+    def test_matches_generic_key(self, single, double, share, single_first):
+        if share != "none":
+            # Put the single-qubit gate on the two-qubit gate's control or
+            # target; c < t and c > t both come from the unique draw.
+            qubit = double.qubits[0 if share == "control" else 1]
+            single = Gate(single.name, (qubit,), single.params)
+        a, b = (single, double) if single_first else (double, single)
+        key = _pair_key(a, b)
+        assert key == _generic_pair_key(a, b)
+        assert [type(rank) for rank in key[2] + key[5]] == \
+            [int] * len(key[2] + key[5])
+
+    @pytest.mark.parametrize("single,double", [
+        (Gate("rz", (3,), (0.5,)), Gate("cx", (3, 7))),
+        (Gate("rz", (7,), (0.5,)), Gate("cx", (3, 7))),
+        (Gate("h", (3,)), Gate("cx", (7, 3))),
+        (Gate("h", (7,)), Gate("cx", (7, 3))),
+        (Gate("t", (1,)), Gate("cx", (3, 7))),
+        (Gate("t", (5,)), Gate("cx", (7, 3))),
+        (Gate("t", (9,)), Gate("cx", (3, 7))),
+    ])
+    def test_every_overlap_shape(self, single, double):
+        assert _pair_key(single, double) == _generic_pair_key(single, double)
+        assert _pair_key(double, single) == _generic_pair_key(double, single)
 
 
 class TestCacheStatistics:

@@ -52,23 +52,32 @@ class SlotSchedule:
         return True
 
     def earliest_on_slot(self, slot: int, duration: float,
-                         not_before: float) -> float:
+                         not_before: float, lead: float = 0.0) -> float:
+        """Earliest start whose window ``[start, (start + lead) + duration)``
+        is free on ``slot``.
+
+        A booking that ends at ``(start + lead) + duration`` must be checked
+        with that same sum: ``start + (lead + duration)`` can round one ulp
+        short of it and admit a window that collides with the next
+        reservation.
+        """
         intervals = self.intervals[slot]
         start = not_before
         for (s, e) in intervals:
-            if start + duration <= s:
+            if (start + lead) + duration <= s:
                 return start
             if e > start:
                 start = e
         return start
 
-    def earliest(self, duration: float,
-                 not_before: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with room for ``duration``."""
+    def earliest(self, duration: float, not_before: float = 0.0,
+                 lead: float = 0.0) -> Tuple[float, int]:
+        """Earliest (start, slot) at or after ``not_before`` with room for
+        ``lead + duration`` (see :meth:`earliest_on_slot`)."""
         best_start: Optional[float] = None
         best_slot = 0
         for slot in range(self.num_slots):
-            start = self.earliest_on_slot(slot, duration, not_before)
+            start = self.earliest_on_slot(slot, duration, not_before, lead)
             if best_start is None or start < best_start:
                 best_start, best_slot = start, slot
         assert best_start is not None
@@ -153,24 +162,30 @@ class CommResourceTracker:
         return self._schedules[node].slot_free(slot, start, end)
 
     def earliest_slot(self, node: int, duration: float,
-                      not_before: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with ``duration`` free."""
-        return self._schedules[node].earliest(duration, not_before)
+                      not_before: float = 0.0,
+                      lead: float = 0.0) -> Tuple[float, int]:
+        """Earliest (start, slot) at or after ``not_before`` with room for
+        ``lead + duration`` (see :meth:`SlotSchedule.earliest_on_slot`)."""
+        return self._schedules[node].earliest(duration, not_before, lead)
 
     def earliest_joint(self, nodes: Sequence[int], duration: float,
-                       not_before: float = 0.0) -> Tuple[float, Dict[int, int]]:
+                       not_before: float = 0.0,
+                       lead: float = 0.0) -> Tuple[float, Dict[int, int]]:
         """Earliest start time when *every* node in ``nodes`` has a free slot.
 
-        Returns the start time and the chosen slot per node.  Uses a simple
-        fixed-point iteration: propose the max of per-node earliest starts,
-        re-check each node at that time, repeat until stable.
+        The window is ``[start, (start + lead) + duration)``: a comm op
+        passes its EPR preparation as ``lead`` so the search checks the
+        very end it will book.  Returns the start time and the chosen slot
+        per node.  Uses a simple fixed-point iteration: propose the max of
+        per-node earliest starts, re-check each node at that time, repeat
+        until stable.
         """
         time = not_before
         for _ in range(1000):
             slots: Dict[int, int] = {}
             proposal = time
             for node in nodes:
-                start, slot = self.earliest_slot(node, duration, time)
+                start, slot = self.earliest_slot(node, duration, time, lead)
                 slots[node] = slot
                 proposal = max(proposal, start)
             if proposal == time:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from typing import List, Optional
 
 from .circuit import Circuit
@@ -71,8 +72,8 @@ def _format_angle(value: float) -> str:
 
 
 _GATE_RE = re.compile(
-    r"^\s*(?P<name>[a-zA-Z_][\w]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^;]*);"
-)
+    r"(?P<name>[a-zA-Z_][\w]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*)",
+    re.DOTALL)
 _QUBIT_RE = re.compile(r"q\[(\d+)\]")
 
 
@@ -80,38 +81,46 @@ def from_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 text into a :class:`Circuit`.
 
     Supports a single ``qreg`` named ``q`` and the registered gate set.
+    ``//`` comments run to the end of their line; statements end at ``;``
+    wherever they sit, so one line may hold several and one statement may
+    span lines.  Text after the last ``;`` is rejected, not dropped.
     """
+    if "//" in text:
+        text = "\n".join(line.split("//", 1)[0] for line in text.split("\n"))
+    *statements, tail = text.split(";")
+    if tail.strip():
+        raise QasmError(f"statement not terminated by ';': {tail.strip()!r}")
     num_qubits: Optional[int] = None
     gates: List[Gate] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("//", 1)[0].strip()
-        if not line:
+    for raw in statements:
+        statement = raw.strip()
+        if not statement:
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
+        if statement.startswith("OPENQASM") or statement.startswith("include"):
             continue
-        if line.startswith("qreg"):
-            match = re.search(r"qreg\s+q\[(\d+)\]", line)
+        if statement.startswith("qreg"):
+            match = re.fullmatch(r"qreg\s+q\[(\d+)\]", statement)
             if not match:
-                raise QasmError(f"unsupported qreg declaration: {line!r}")
+                raise QasmError(f"unsupported qreg declaration: {statement!r}")
             num_qubits = int(match.group(1))
             continue
-        if line.startswith("creg"):
+        if statement.startswith("creg"):
             continue
         if num_qubits is None:
             raise QasmError("gate encountered before qreg declaration")
-        if line.startswith("measure"):
-            match = _QUBIT_RE.search(line)
+        if statement.startswith("measure"):
+            match = _QUBIT_RE.search(statement)
             if not match:
-                raise QasmError(f"cannot parse measure: {line!r}")
+                raise QasmError(f"cannot parse measure: {statement!r}")
             gates.append(Gate("measure", (int(match.group(1)),)))
             continue
-        match = _GATE_RE.match(line)
+        match = _GATE_RE.fullmatch(statement)
         if not match:
-            raise QasmError(f"cannot parse line: {line!r}")
+            raise QasmError(f"cannot parse statement: {statement!r}")
         name = match.group("name").lower()
         name = _IMPORT_NAME.get(name, name)
         if not is_supported_gate(name):
-            raise QasmError(f"unsupported gate {name!r} in line {line!r}")
+            raise QasmError(f"unsupported gate {name!r} in {statement!r}")
         params_text = match.group("params")
         params = tuple(_parse_angle(p) for p in params_text.split(",")) if params_text else ()
         qubits = tuple(int(m) for m in _QUBIT_RE.findall(match.group("args")))
@@ -124,8 +133,13 @@ def from_qasm(text: str) -> Circuit:
     return Circuit(num_qubits, gates)
 
 
+@lru_cache(maxsize=4096)
 def _parse_angle(text: str) -> float:
-    """Evaluate a restricted arithmetic expression over pi."""
+    """Evaluate a restricted arithmetic expression over pi.
+
+    Memoised: generated circuits repeat a few angle spellings thousands of
+    times, and the sanitised ``eval`` is the costliest step of parsing.
+    """
     expr = text.strip().lower().replace("pi", repr(math.pi))
     if not re.fullmatch(r"[0-9eE+\-*/. ()]+", expr):
         raise QasmError(f"unsupported angle expression {text!r}")

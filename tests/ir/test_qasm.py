@@ -97,3 +97,41 @@ class TestImport:
     def test_empty_program_rejected(self):
         with pytest.raises(QasmError):
             from_qasm('OPENQASM 2.0;\n')
+
+
+class TestStatements:
+    """Statements end at ';', not at line ends."""
+
+    def test_several_statements_on_one_line(self):
+        text = ('OPENQASM 2.0;\nqreg q[3];\n'
+                'cx q[0],q[1]; cx q[1],q[2];\ncx q[0],q[2];\n')
+        circuit = from_qasm(text)
+        assert [g.qubits for g in circuit] == [(0, 1), (1, 2), (0, 2)]
+
+    def test_single_line_program(self):
+        circuit = from_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; '
+                            'h q[0]; cx q[0],q[1];')
+        assert circuit.num_qubits == 2
+        assert [g.name for g in circuit] == ["h", "cx"]
+
+    def test_statement_spanning_lines(self):
+        circuit = from_qasm('OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n   q[1];\n')
+        assert circuit[0].qubits == (0, 1)
+
+    def test_semicolon_inside_comment_ignored(self):
+        circuit = from_qasm('OPENQASM 2.0;\nqreg q[2];\n'
+                            'h q[0]; // h q[1]; x q[1];\n')
+        assert len(circuit) == 1
+
+    def test_unterminated_trailing_text_rejected(self):
+        with pytest.raises(QasmError, match="not terminated"):
+            from_qasm('OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0],q[1]\n')
+
+    def test_empty_statements_skipped(self):
+        circuit = from_qasm('OPENQASM 2.0;;\nqreg q[1];;h q[0];;\n')
+        assert len(circuit) == 1
+
+    def test_round_trip_packed_on_one_line(self):
+        circuit = Circuit(3).h(0).cx(0, 1).rz(2, 0.25).cx(1, 2)
+        packed = " ".join(to_qasm(circuit).splitlines())
+        assert from_qasm(packed).gates == circuit.gates

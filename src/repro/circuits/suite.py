@@ -97,6 +97,8 @@ def build_benchmark(family: str, num_qubits: int, num_nodes: int,
     except KeyError:
         raise ValueError(f"unknown benchmark family {family!r}; choose from "
                          f"{sorted(BENCHMARK_FAMILIES)}") from None
+    if num_nodes <= 0:
+        raise ValueError(f"num_nodes must be positive, got {num_nodes}")
     circuit = builder(num_qubits)
     qubits_per_node = -(-num_qubits // num_nodes)
     network = uniform_network(num_nodes, qubits_per_node,

@@ -510,6 +510,8 @@ def _network_from_args(circuit: Circuit, args):
             link_model = load_link_spec(link_spec, DEFAULT_LATENCY.t_epr)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
+    if args.nodes < 1:
+        raise ValueError(f"--nodes must be >= 1, got {args.nodes}")
     try:
         return _make_network(circuit, args.nodes, args.qubits_per_node,
                              args.comm_qubits, topology=topology,
@@ -1107,12 +1109,19 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {"compile": _cmd_compile, "compare": _cmd_compare,
                 "simulate": _cmd_simulate, "generate": _cmd_generate,
                 "profile": _cmd_profile, "trace": _cmd_trace,
                 "verify": _cmd_verify, "cache": _cmd_cache}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        # Bad input the library rejected (QasmError is a ValueError): one
+        # line and argparse's usage-error exit code, not a traceback.
+        message = " ".join(str(exc).split("\n"))
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

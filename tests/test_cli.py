@@ -720,3 +720,49 @@ class TestIdealLinksFlag:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "sim_mean" in out
+
+
+class TestOneLineErrors:
+    """Bad input ends in one ``repro: error:`` line and exit code 2."""
+
+    def _fails(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return err
+
+    @pytest.mark.parametrize("verb", ["compile", "compare", "simulate",
+                                      "profile", "trace", "verify"])
+    def test_zero_nodes(self, qasm_file, capsys, verb):
+        err = self._fails([verb, str(qasm_file), "--nodes", "0"], capsys)
+        assert err == "repro: error: --nodes must be >= 1, got 0\n"
+
+    def test_negative_nodes(self, qasm_file, capsys):
+        err = self._fails(["compile", str(qasm_file), "--nodes", "-3"], capsys)
+        assert "--nodes must be >= 1, got -3" in err
+
+    def test_zero_nodes_cache_warm(self, tmp_path, capsys):
+        err = self._fails(["cache", "warm", "--cache-dir", str(tmp_path),
+                           "--families", "QFT", "--nodes", "0"], capsys)
+        assert "num_nodes must be positive" in err
+
+    def test_out_of_range_qubit(self, tmp_path, capsys):
+        path = tmp_path / "wide.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[4];\ncx q[0],q[7];\n")
+        err = self._fails(["compile", str(path), "--nodes", "2"], capsys)
+        assert "qubit 7" in err
+
+    def test_malformed_qasm(self, tmp_path, capsys):
+        path = tmp_path / "bad.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\nmystery q[0];\n")
+        err = self._fails(["simulate", str(path), "--nodes", "2"], capsys)
+        assert "unsupported gate 'mystery'" in err
+
+    def test_unterminated_qasm(self, tmp_path, capsys):
+        path = tmp_path / "cut.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0],q[1]")
+        err = self._fails(["compile", str(path), "--nodes", "2"], capsys)
+        assert "not terminated" in err

@@ -23,12 +23,22 @@ commutation caches (cleared before every run) on a shared decomposed
 circuit and OEE mapping; the median wall time is reported.  Scope
 deliberately excludes decomposition and partitioning, which are identical
 byte-for-byte in both paths.
+
+The report also carries ``aggregation_scaling``: absolute aggregation wall
+time for QFT-40/70/100 on a ring with 10 qubits per node (median of
+``--repeat`` cold-cache runs) and the exponent of a least-squares fit of
+log time against log qubits.  ``--before REPORT`` copies another report's
+``aggregation_scaling`` into this one as its ``before`` block, so the
+committed file holds the rows of the code before a change next to the rows
+after it.  To record the before rows, run this script with ``PYTHONPATH``
+pointing at the older tree's ``src``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -45,7 +55,8 @@ if __name__ == "__main__":  # allow standalone runs without PYTHONPATH=src
             sys.path.insert(0, src)
 
 from _harness import BENCH_SCALES, emit
-from repro.circuits import BenchmarkSpec, paper_configurations, scaled_configurations
+from repro.circuits import (BenchmarkSpec, paper_configurations, qft_circuit,
+                            scaled_configurations)
 from repro.core import (
     aggregate_communications,
     aggregate_communications_reference,
@@ -54,6 +65,7 @@ from repro.core import (
     schedule_communications,
     schedule_communications_reference,
 )
+from repro.hardware import apply_topology, uniform_network
 from repro.ir import Gate, clear_commutation_cache, decompose_to_cx
 from repro.partition import oee_partition
 
@@ -61,6 +73,9 @@ DEFAULT_FAMILIES = ("QFT", "BV")
 DEFAULT_REPEAT = 5
 #: CI fails when a config's measured speedup drops below baseline / this.
 REGRESSION_FACTOR = 2.0
+#: QFT widths of the aggregation scaling rows (10 qubits per node, ring).
+SCALING_QUBITS = (40, 70, 100)
+QUBITS_PER_NODE = 10
 
 
 def _compile_optimized(circuit, mapping, network):
@@ -114,6 +129,44 @@ def _bench_config(spec: BenchmarkSpec, repeat: int) -> Dict[str, object]:
     }
 
 
+def fitted_exponent(sizes: Sequence[float], times: Sequence[float]) -> float:
+    """Slope of the least-squares line through ``(log size, log time)``."""
+    xs = [math.log(size) for size in sizes]
+    ys = [math.log(value) for value in times]
+    mean_x = statistics.fmean(xs)
+    mean_y = statistics.fmean(ys)
+    return (sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+            / sum((x - mean_x) ** 2 for x in xs))
+
+
+def aggregation_scaling(repeat: int,
+                        sizes: Sequence[int] = SCALING_QUBITS
+                        ) -> Dict[str, object]:
+    """Absolute aggregation time for QFT on a ring, and its fitted exponent."""
+    rows = []
+    for num_qubits in sizes:
+        nodes = -(-num_qubits // QUBITS_PER_NODE)
+        circuit = decompose_to_cx(qft_circuit(num_qubits))
+        network = apply_topology(uniform_network(nodes, QUBITS_PER_NODE),
+                                 "ring")
+        mapping = oee_partition(circuit, network).mapping
+        samples = []
+        for _ in range(repeat):
+            clear_commutation_cache()
+            begin = time.perf_counter()
+            result = aggregate_communications(circuit, mapping)
+            samples.append(time.perf_counter() - begin)
+        rows.append({"name": f"QFT-{num_qubits}-{nodes}-ring",
+                     "qubits": num_qubits, "nodes": nodes,
+                     "gates": len(circuit), "items": len(result.items),
+                     "aggregation_ms": round(
+                         statistics.median(samples) * 1e3, 3)})
+    exponent = fitted_exponent([row["qubits"] for row in rows],
+                               [row["aggregation_ms"] for row in rows])
+    return {"topology": "ring", "qubits_per_node": QUBITS_PER_NODE,
+            "rows": rows, "exponent": round(exponent, 2)}
+
+
 def _microbench_gate_qubit_set() -> Dict[str, float]:
     """Satellite micro-benchmark: cached ``Gate.qubit_set`` vs re-building."""
     gate = Gate("cx", (3, 17))
@@ -151,7 +204,7 @@ def run_bench(scale: str, families: Sequence[str] = DEFAULT_FAMILIES,
     }
     return {
         "bench": "compiler_perf",
-        "schema": 1,
+        "schema": 2,
         "scale": scale,
         "repeat": repeat,
         "configs": configs,
@@ -159,6 +212,7 @@ def run_bench(scale: str, families: Sequence[str] = DEFAULT_FAMILIES,
         "median_speedup_by_family": per_family,
         "all_results_equal": all(c["results_equal"] for c in configs),
         "micro": {"gate_qubit_set": _microbench_gate_qubit_set()},
+        "aggregation_scaling": aggregation_scaling(repeat),
     }
 
 
@@ -198,6 +252,11 @@ def _emit_report(report: Dict[str, object]) -> None:
          columns=["name", "gates", "optimized_ms", "reference_ms",
                   "speedup", "results_equal"],
          note=note)
+    scaling = report["aggregation_scaling"]
+    emit("compiler_aggregation_scaling", scaling["rows"],
+         columns=["name", "gates", "items", "aggregation_ms"],
+         note=f"fitted exponent {scaling['exponent']} "
+              f"(log aggregation time vs log qubits)")
 
 
 def test_bench_compiler_perf():
@@ -208,6 +267,12 @@ def test_bench_compiler_perf():
     _emit_report(report)
     assert report["all_results_equal"], \
         "optimized and reference compile pipelines disagree"
+
+
+def test_fitted_exponent_recovers_power_law():
+    sizes = [40, 70, 100]
+    assert abs(fitted_exponent(sizes, [2.5 * n ** 4 for n in sizes]) - 4) \
+        < 1e-9
 
 
 def test_bench_scale_is_validated(monkeypatch):
@@ -235,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON report here "
                              "(e.g. BENCH_compiler.json)")
+    parser.add_argument("--before", type=Path, default=None,
+                        help="report whose aggregation_scaling becomes this "
+                             "report's aggregation_scaling.before")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="committed BENCH_compiler.json to check for "
                              ">2x speedup regressions (exit 1 on failure)")
@@ -242,6 +310,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     families = [f for f in args.families.split(",") if f]
     report = run_bench(args.scale, families=families, repeat=args.repeat)
+    if args.before is not None:
+        before = json.loads(args.before.read_text())["aggregation_scaling"]
+        before.pop("before", None)
+        report["aggregation_scaling"]["before"] = before
     _emit_report(report)
 
     if args.output is not None:

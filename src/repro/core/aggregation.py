@@ -21,13 +21,11 @@ qubit-node pair, processed in descending order of remote-gate count
 * a gate that can neither be absorbed nor deferred closes the block, which
   is the paper's "break" case.
 
-A sweep never reorders the items that survive it.  It only removes the
-gates it absorbs and puts each new block in the slot of the block's first
-gate; deferred items already sit after that slot and the closing item
-after them.  The pass therefore works on one stable slot list (slot *i*
-starts as gate *i*) and a sweep visits only its *windows*, from a block's
-first gate to the item that closes it, instead of copying the whole
-program once per pair.
+A sweep never reorders surviving items: it removes the gates it absorbs
+and puts each new block in the slot of its first gate, before the deferred
+items and the closing item.  So the pass edits one stable slot list, and a
+sweep visits only its *windows* (a block's first gate up to the item that
+closes it) instead of copying the whole program once per pair.
 """
 
 from __future__ import annotations
@@ -91,23 +89,16 @@ class AggregationResult:
 class CommAggregator:
     """Implements the aggregation pass over one circuit and mapping.
 
-    The program is held as a stable slot list: slot *i* starts as gate *i*
-    and ``_next`` links skip the slots of absorbed gates.  A block takes
-    over the slot of its first gate, so no sweep ever moves a surviving
-    item and the item list is materialised once, after the last sweep.
+    Slot *i* starts as gate *i*; ``_next`` links skip absorbed gates and a
+    block takes over the slot of its first gate, so the item list is built
+    once, after the last sweep.  ``_pair_slots`` holds each directed (hub,
+    remote node) pair's raw remote gate slots in order; its lengths are the
+    histogram that orders the pairs.  A sweep jumps to the pair's first raw
+    gate and walks ``_next`` until the block closes, repeating until the
+    pair has none left, so it costs its windows, not the program.
 
-    A per-pair index (``_pair_slots``) holds, in slot order, the slots of
-    each directed (hub, remote node) pair's raw remote gates; its lengths
-    are the histogram that drives the processing order.  A sweep jumps to
-    the pair's first raw gate, walks ``_next`` from there until the block
-    closes, and repeats until the pair has no raw gate left, so its cost
-    is the length of its windows rather than of the program.  Per-item
-    qubit sets come from caches (:attr:`Gate.qubit_set`,
-    :attr:`CommBlock.touched_set`) instead of per-query allocations.
-
-    The output is identical to the original scanning implementation,
-    which is preserved in :mod:`repro.core.aggregation_reference` and
-    diffed against this one by the equivalence tests.
+    The output is identical to the original scanning implementation kept in
+    :mod:`repro.core.aggregation_reference`; the equivalence tests diff them.
     """
 
     def __init__(self, circuit: Circuit, mapping: QubitMapping,
@@ -121,14 +112,12 @@ class CommAggregator:
         #: node index per program qubit (dense list; mapping covers 0..n-1).
         self._node: List[int] = [mapping.node_of(q)
                                  for q in range(circuit.num_qubits)]
-        # Filled by run(): the slot list and its forward links (a link equal
-        # to len(_slots) ends the list), each slot's two (hub, remote-node)
-        # pairs while it holds a raw remote gate, the per-pair slot index,
-        # and the number of blocks created so far.
+        # Filled by run(): slots and forward links (len(_slots) ends the
+        # list), each raw remote gate slot's two (hub, remote-node) pairs,
+        # the per-pair slot index, and the number of blocks created.
         self._slots: List[ScheduleItem] = []
         self._next: List[int] = []
-        self._slot_pairs: List[Optional[Tuple[Tuple[int, int],
-                                              Tuple[int, int]]]] = []
+        self._slot_pairs: List[Optional[Tuple[Tuple[int, int], ...]]] = []
         self._pair_slots: Dict[Tuple[int, int], List[int]] = {}
         self._blocks_made = 0
 
@@ -177,10 +166,9 @@ class CommAggregator:
 
     def _pairs_by_weight_indexed(self) -> List[Tuple[int, int]]:
         """Pairs with raw gates left, by descending count, then by pair."""
-        ordered = sorted(((pair, len(slots)) for pair, slots
-                          in self._pair_slots.items() if slots),
-                         key=lambda kv: (-kv[1], kv[0]))
-        return [pair for pair, _ in ordered]
+        index = self._pair_slots
+        return sorted((pair for pair, slots in index.items() if slots),
+                      key=lambda pair: (-len(index[pair]), pair))
 
     def _absorb_into_block(self, slot: int) -> None:
         """Drop the raw remote gate in ``slot`` from both of its pairs."""
@@ -375,8 +363,7 @@ class CommAggregator:
             # Eligibility (a raw remote 2q gate of this exact pair) is one
             # indexed lookup; gates already inside blocks are not linked.
             eligible_pairs = slot_pairs[slot]
-            if eligible_pairs is not None and (pair == eligible_pairs[0]
-                                               or pair == eligible_pairs[1]):
+            if eligible_pairs is not None and pair in eligible_pairs:
                 # Pulling this gate into the open block hops it over every
                 # deferred item, so that move must be commutation-justified.
                 if block is not None and deferred and not (

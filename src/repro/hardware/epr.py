@@ -56,15 +56,15 @@ class SlotSchedule:
         """Earliest start whose window ``[start, (start + lead) + duration)``
         is free on ``slot``.
 
-        A booking that ends at ``(start + lead) + duration`` must be checked
-        with that same sum: ``start + (lead + duration)`` can round one ulp
-        short of it and admit a window that collides with the next
-        reservation.
+        A booking that ends at ``(start + lead) + duration`` must fit with
+        that same sum: ``start + (lead + duration)`` can round one ulp short
+        of it and admit a window that collides with the next reservation.
+        The exact sum is only taken where the cheaper test already passed.
         """
-        intervals = self.intervals[slot]
+        window = lead + duration
         start = not_before
-        for (s, e) in intervals:
-            if (start + lead) + duration <= s:
+        for (s, e) in self.intervals[slot]:
+            if start + window <= s and (start + lead) + duration <= s:
                 return start
             if e > start:
                 start = e

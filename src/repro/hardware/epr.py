@@ -72,8 +72,7 @@ class SlotSchedule:
 
     def earliest(self, duration: float, not_before: float = 0.0,
                  lead: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with room for
-        ``lead + duration`` (see :meth:`earliest_on_slot`)."""
+        """Earliest (start, slot) at or after ``not_before`` with room for ``duration``."""
         best_start: Optional[float] = None
         best_slot = 0
         for slot in range(self.num_slots):
@@ -164,8 +163,7 @@ class CommResourceTracker:
     def earliest_slot(self, node: int, duration: float,
                       not_before: float = 0.0,
                       lead: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with room for
-        ``lead + duration`` (see :meth:`SlotSchedule.earliest_on_slot`)."""
+        """Earliest (start, slot) at or after ``not_before`` with ``duration`` free."""
         return self._schedules[node].earliest(duration, not_before, lead)
 
     def earliest_joint(self, nodes: Sequence[int], duration: float,
@@ -173,12 +171,10 @@ class CommResourceTracker:
                        lead: float = 0.0) -> Tuple[float, Dict[int, int]]:
         """Earliest start time when *every* node in ``nodes`` has a free slot.
 
-        The window is ``[start, (start + lead) + duration)``: a comm op
-        passes its EPR preparation as ``lead`` so the search checks the
-        very end it will book.  Returns the start time and the chosen slot
-        per node.  Uses a simple fixed-point iteration: propose the max of
-        per-node earliest starts, re-check each node at that time, repeat
-        until stable.
+        Returns the start time and the chosen slot per node.  Uses a simple
+        fixed-point iteration: propose the max of per-node earliest starts,
+        re-check each node at that time, repeat until stable.  ``lead`` is a
+        prefix of the window (see :meth:`SlotSchedule.earliest_on_slot`).
         """
         time = not_before
         for _ in range(1000):

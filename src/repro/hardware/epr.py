@@ -12,11 +12,20 @@ after ``t`` when this node has a free communication qubit for ``duration``
 time units?".  The block scheduler in :mod:`repro.core.scheduling` and the
 baseline schedulers both build on it, so the resource constraint is applied
 identically to every compiler being compared.
+
+Each slot keeps its bookings sorted by ``(start, end)`` next to a parallel
+sorted list of their ends.  The second list is exact because bookings on
+one slot never overlap: :meth:`SlotSchedule.book` only accepts ``[s, e)``
+when no booked ``[s', e')`` has ``s' < e`` and ``s < e'``, so of two
+bookings one ends at or before the other starts (a zero-length booking
+ties at its start), and ends are non-decreasing in start order.  A query
+at time ``t`` then skips, with one bisection, every booking that ends at
+or before ``t``.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,25 +40,37 @@ class SlotSchedule:
     The generic core of :class:`CommResourceTracker` (one instance per node's
     communication qubits); the execution simulator reuses it for per-link
     EPR-generation contention queues.
+
+    Invariant: ``ends[slot]`` lists the ends of ``intervals[slot]`` in the
+    same order and is itself sorted, because bookings on one slot never
+    overlap.  Every query bisects it to start past the bookings that end at
+    or before its own start, so a query costs O(log n) plus the bookings it
+    actually has to step over.
     """
 
     def __init__(self, num_slots: int) -> None:
         if num_slots <= 0:
             raise ValueError("a slot schedule needs at least one slot")
-        # intervals[slot] = sorted list of (start, end) busy windows.
+        # intervals[slot] = sorted list of (start, end) busy windows;
+        # ends[slot] = their ends, in the same (also sorted) order.
         self.intervals: List[List[Tuple[float, float]]] = [
             [] for _ in range(num_slots)]
+        self.ends: List[List[float]] = [[] for _ in range(num_slots)]
 
     @property
     def num_slots(self) -> int:
         return len(self.intervals)
 
     def slot_free(self, slot: int, start: float, end: float) -> bool:
-        """True when ``slot`` is idle over ``[start, end)``."""
-        for (s, e) in self.intervals[slot]:
-            if s < end and start < e:
-                return False
-        return True
+        """True when ``slot`` is idle over ``[start, end)``.
+
+        Only the first booking ending after ``start`` can overlap: the ones
+        before it end at or before ``start``, the ones after it start no
+        earlier than it does.
+        """
+        index = bisect_right(self.ends[slot], start)
+        intervals = self.intervals[slot]
+        return index == len(intervals) or intervals[index][0] >= end
 
     def earliest_on_slot(self, slot: int, duration: float,
                          not_before: float, lead: float = 0.0) -> float:
@@ -60,10 +81,14 @@ class SlotSchedule:
         that same sum: ``start + (lead + duration)`` can round one ulp short
         of it and admit a window that collides with the next reservation.
         The exact sum is only taken where the cheaper test already passed.
+        The scan starts at the first booking ending after ``not_before``.
         """
         window = lead + duration
         start = not_before
-        for (s, e) in self.intervals[slot]:
+        intervals = self.intervals[slot]
+        for index in range(bisect_right(self.ends[slot], not_before),
+                           len(intervals)):
+            s, e = intervals[index]
             if start + window <= s and (start + lead) + duration <= s:
                 return start
             if e > start:
@@ -98,8 +123,8 @@ class SlotSchedule:
             raise ValueError(
                 f"need {count} concurrent slots but only {self.num_slots} exist")
         candidates = {not_before}
-        candidates.update(e for slot in self.intervals for (_, e) in slot
-                          if e > not_before)
+        for ends in self.ends:
+            candidates.update(ends[bisect_right(ends, not_before):])
         for start in sorted(candidates):
             free = sum(1 for slot in range(self.num_slots)
                        if self.slot_free(slot, start, start + duration))
@@ -121,7 +146,10 @@ class SlotSchedule:
                 raise ValueError(f"no free slot in [{start}, {end})")
         elif not self.slot_free(slot, start, end):
             raise ValueError(f"slot {slot} is busy in [{start}, {end})")
-        insort(self.intervals[slot], (start, end))
+        intervals = self.intervals[slot]
+        index = bisect_right(intervals, (start, end))
+        intervals.insert(index, (start, end))
+        self.ends[slot].insert(index, end)
         return slot
 
     def busy_time(self) -> float:
@@ -129,8 +157,7 @@ class SlotSchedule:
         return sum(e - s for slot in self.intervals for (s, e) in slot)
 
     def makespan(self) -> float:
-        return max((e for slot in self.intervals for (_, e) in slot),
-                   default=0.0)
+        return max((ends[-1] for ends in self.ends if ends), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -630,9 +630,13 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _check_p_epr(args) -> None:
+    """Reject an unusable ``--p-epr`` before anything is compiled."""
+    SimulationConfig(p_epr=args.p_epr)
+
+
 def _cmd_compare(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
+    _check_p_epr(args)
     if args.trials < 0:
         raise SystemExit(f"error: --trials must be >= 0, got {args.trials}")
     if args.workers < 1:
@@ -722,8 +726,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
+    _check_p_epr(args)
     if args.trials < 1:
         raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
     if args.workers < 1:
@@ -884,8 +887,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
+    _check_p_epr(args)
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
     program = _compile_program(circuit, network, args)
@@ -923,8 +925,7 @@ def _cmd_profile(args) -> int:
 
     if args.repeat < 1:
         raise SystemExit(f"error: --repeat must be >= 1, got {args.repeat}")
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
+    _check_p_epr(args)
     from .ir.commutation import clear_commutation_cache, commutation_cache_stats
     from .sim import run_monte_carlo as _run_mc
 

@@ -30,6 +30,7 @@ the program under the sampled EPR durations.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -40,7 +41,7 @@ from ..core.scheduling import SchedulePlan, plan_phased_schedule, plan_schedule
 from ..hardware.epr import CommResourceTracker, SlotSchedule
 from ..hardware.network import QuantumNetwork
 from ..obs.metrics import MetricsRegistry
-from .epr_process import EPRProcess
+from .epr_process import MAX_ATTEMPTS, EPRProcess
 from .trace import LatencyDistribution, TraceRecorder
 
 __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
@@ -50,6 +51,13 @@ __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
 #: Event-queue ordering: finishing operations release dependencies before
 #: ready items placed at the same instant make resource decisions.
 _FINISH, _READY = 0, 1
+
+#: Largest accepted chance that one EPR pair exhausts ``MAX_ATTEMPTS``.
+EXHAUSTION_BOUND = 1e-9
+#: ``p_epr`` above which the exhaustion chance ``(1 - p) ** MAX_ATTEMPTS``
+#: stays within ``EXHAUSTION_BOUND``, rounded up to 0.000208.
+MIN_P_EPR = math.ceil(
+    -math.expm1(math.log(EXHAUSTION_BOUND) / MAX_ATTEMPTS) * 1e6) / 1e6
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,17 @@ class SimulationConfig:
     #: returns identical latencies, attempts and merged metrics; ``1``
     #: (default) runs in-process and never touches a pool.
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.p_epr <= 1.0:
+            raise ValueError(f"p_epr must be in (0, 1], got {self.p_epr}")
+        # Rejected here, not after a trial has run for minutes: one pair
+        # would exhaust the attempt limit too likely to finish a program.
+        if (1.0 - self.p_epr) ** MAX_ATTEMPTS > EXHAUSTION_BOUND:
+            raise ValueError(
+                f"p_epr={self.p_epr} is too small: one EPR pair would exceed "
+                f"{MAX_ATTEMPTS} attempts with probability above "
+                f"{EXHAUSTION_BOUND:g}; use p_epr >= {MIN_P_EPR:g}")
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,16 @@ class EPRSample:
     duration: float
 
 
+#: Attempts after which one EPR generation gives up with ``RuntimeError``.
+MAX_ATTEMPTS = 100_000
+
+
 class EPRProcess:
     """Samples EPR-pair generation times on a network's links."""
 
     def __init__(self, network: QuantumNetwork, p_success: float = 1.0,
                  retry_latency: Optional[float] = None,
-                 max_attempts: int = 100_000,
+                 max_attempts: int = MAX_ATTEMPTS,
                  per_link: Optional[bool] = None) -> None:
         if not 0.0 < p_success <= 1.0:
             raise ValueError(f"p_success must be in (0, 1], got {p_success}")

@@ -26,6 +26,38 @@ def qft_program():
     return compile_autocomm(qft_circuit(8), network)
 
 
+class TestConfigValidation:
+    """``p_epr`` is checked where the config is built, not mid-run."""
+
+    @pytest.mark.parametrize("p_epr", [0.0, -0.5, 1.5, float("nan")])
+    def test_out_of_range(self, p_epr):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+            SimulationConfig(p_epr=p_epr)
+
+    @pytest.mark.parametrize("p_epr", [1e-9, 1e-5, 2e-4])
+    def test_attempt_limit_too_likely(self, p_epr):
+        with pytest.raises(ValueError, match="100000 attempts") as excinfo:
+            SimulationConfig(p_epr=p_epr)
+        assert "p_epr >= 0.000208" in str(excinfo.value)
+
+    def test_bound_is_the_exhaustion_probability(self):
+        from repro.sim.engine import EXHAUSTION_BOUND, MIN_P_EPR
+        from repro.sim.epr_process import MAX_ATTEMPTS
+        assert (1.0 - MIN_P_EPR) ** MAX_ATTEMPTS <= EXHAUSTION_BOUND
+        assert (1.0 - 2.07e-4) ** MAX_ATTEMPTS > EXHAUSTION_BOUND
+        SimulationConfig(p_epr=MIN_P_EPR)
+
+    def test_replace_revalidates(self):
+        from dataclasses import replace
+        with pytest.raises(ValueError):
+            replace(SimulationConfig(p_epr=0.5), p_epr=1e-9)
+
+    def test_tiny_p_fails_before_running(self, qft_program):
+        with pytest.raises(ValueError, match="too small"):
+            run_monte_carlo(qft_program,
+                            SimulationConfig(p_epr=1e-9, seed=1, trials=2))
+
+
 class TestDeterministicExecution:
     def test_empty_program(self):
         network = uniform_network(2, 2)

@@ -761,6 +761,20 @@ class TestOneLineErrors:
         err = self._fails(["simulate", str(path), "--nodes", "2"], capsys)
         assert "unsupported gate 'mystery'" in err
 
+    @pytest.mark.parametrize("verb", ["compare", "simulate", "profile",
+                                      "trace"])
+    def test_p_epr_too_small(self, qasm_file, capsys, verb):
+        err = self._fails([verb, str(qasm_file), "--nodes", "2",
+                           "--p-epr", "1e-9"], capsys)
+        assert "p_epr=1e-09 is too small" in err
+        assert "p_epr >= 0.000208" in err
+
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    def test_p_epr_out_of_range(self, qasm_file, capsys, value):
+        err = self._fails(["simulate", str(qasm_file), "--nodes", "2",
+                           "--p-epr", value], capsys)
+        assert f"p_epr must be in (0, 1], got {float(value)}" in err
+
     def test_unterminated_qasm(self, tmp_path, capsys):
         path = tmp_path / "cut.qasm"
         path.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0],q[1]")

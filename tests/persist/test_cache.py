@@ -84,6 +84,32 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.load(key) is None
 
+    @pytest.mark.parametrize("overlap", ["same", "partial"])
+    def test_double_booked_reservations_recompile(self, tmp_path, overlap):
+        """Decoding re-books every reservation, so an entry whose schedule
+        double-books a comm-qubit slot is corrupt, never served."""
+        cache = CompileCache(tmp_path)
+        key, program = _fill(cache)
+        path = cache.path_for(key)
+        payload = json.loads(gzip.decompress(path.read_bytes()))
+        reservations = payload["schedule"]["reservations"]
+        node, slot, start, end, label = next(
+            r for r in reservations if r[3] > r[2])
+        if overlap == "partial":
+            start, end = (start + end) / 2, end + 1.0
+        reservations[-1] = [node, slot, start, end, label]
+        path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+        with pytest.warns(RuntimeWarning, match="busy"):
+            assert cache.load(key) is None
+        assert cache.counters()["corrupt"] == 1
+        circuit, network = _inputs()
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            again = compile_autocomm(circuit, network, cache=cache)
+        assert cache.counters()["corrupt"] == 2
+        assert dumps_program(again, spans=False) == \
+            dumps_program(program, spans=False)
+        assert cache.load(key) is not None
+
     def test_schema_skew_is_silent_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
         key, _ = _fill(cache)

@@ -9,6 +9,12 @@ passes run over the result.  The gate demands **zero** diagnostics —
 warnings included — across the matrix, and writes a JSON diagnostics
 report suitable for upload as a CI artifact.
 
+Each report entry also fingerprints its cell: the SHA-256 of the canonical
+artifact (``dumps_program(spans=False)``) and, when simulating, the
+deterministic replay latency and the mean of a seeded 3-trial
+``p_epr = 0.5`` Monte-Carlo run.  The reports of two commits that compile
+and schedule identically diff to empty.
+
 Usage::
 
     python tools/verify_suite.py --output verify_report.json
@@ -18,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -32,11 +39,14 @@ if str(_SRC) not in sys.path:
 from repro.circuits import BENCHMARK_FAMILIES, build_benchmark
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.hardware import SUPPORTED_TOPOLOGIES, apply_topology
-from repro.persist import CompileCache
-from repro.sim import SimulationConfig, simulate_program
+from repro.persist import CompileCache, dumps_program
+from repro.sim import SimulationConfig, run_monte_carlo, simulate_program
 from repro.verify import sanitize_simulation, verify_program
 
 REMAP_MODES = ("never", "bursts")
+#: The seeded Monte-Carlo run whose mean each simulated entry records.
+MONTE_CARLO = SimulationConfig(p_epr=0.5, seed=11, trials=3,
+                               record_trace=False, record_metrics=False)
 
 
 def _compile(family: str, topology: str, remap: str, qubits: int,
@@ -60,19 +70,26 @@ def run_matrix(qubits: int, nodes: int, simulate: bool,
                 program = _compile(family, topology, remap, qubits, nodes,
                                    cache=cache)
                 report = verify_program(program)
+                entry = {
+                    "family": family,
+                    "topology": topology,
+                    "remap": remap,
+                    "artifact_sha256": hashlib.sha256(
+                        dumps_program(program, spans=False)).hexdigest(),
+                }
                 if simulate:
                     config = SimulationConfig(ideal_links=True)
                     result = simulate_program(program, config)
                     report.merge(sanitize_simulation(program, result,
                                                      config))
-                entry = {
-                    "family": family,
-                    "topology": topology,
-                    "remap": remap,
+                    entry["replay_latency"] = result.latency
+                    entry["mc_latency_mean"] = run_monte_carlo(
+                        program, MONTE_CARLO).summary()["mean"]
+                entry.update({
                     "checks_run": list(report.checks_run),
                     "clean": report.clean,
                     "diagnostics": [d.as_dict() for d in report.diagnostics],
-                }
+                })
                 entries.append(entry)
                 total_diagnostics += len(report.diagnostics)
                 status = ("ok" if report.clean
@@ -84,7 +101,7 @@ def run_matrix(qubits: int, nodes: int, simulate: bool,
                         print(f"  {diagnostic}")
     payload = {
         "command": "verify_suite",
-        "schema": 1,
+        "schema": 2,
         "qubits": qubits,
         "nodes": nodes,
         "simulate": simulate,

@@ -32,6 +32,13 @@ log time against log qubits.  ``--before REPORT`` copies another report's
 committed file holds the rows of the code before a change next to the rows
 after it.  To record the before rows, run this script with ``PYTHONPATH``
 pointing at the older tree's ``src``.
+
+``slot_search_scaling`` does the same for comm-qubit slot search, which
+both list schedulers lean on: UCCSD-6/8/10 on a 4-node line, with the
+per-trial time of a seeded ``p_epr = 0.5`` Monte-Carlo run and the time of
+the analytical schedule execution (plans already built), each the median of
+``--repeat`` runs, and both fitted exponents against the communication
+count.  ``--before`` copies this section's ``before`` block too.
 """
 
 from __future__ import annotations
@@ -56,18 +63,20 @@ if __name__ == "__main__":  # allow standalone runs without PYTHONPATH=src
 
 from _harness import BENCH_SCALES, emit
 from repro.circuits import (BenchmarkSpec, paper_configurations, qft_circuit,
-                            scaled_configurations)
+                            scaled_configurations, uccsd_circuit)
 from repro.core import (
     aggregate_communications,
     aggregate_communications_reference,
     assign_communications,
     assign_communications_reference,
+    compile_autocomm,
     schedule_communications,
     schedule_communications_reference,
 )
 from repro.hardware import apply_topology, uniform_network
 from repro.ir import Gate, clear_commutation_cache, decompose_to_cx
 from repro.partition import oee_partition
+from repro.sim import SimulationConfig, run_monte_carlo
 
 DEFAULT_FAMILIES = ("QFT", "BV")
 DEFAULT_REPEAT = 5
@@ -76,6 +85,14 @@ REGRESSION_FACTOR = 2.0
 #: QFT widths of the aggregation scaling rows (10 qubits per node, ring).
 SCALING_QUBITS = (40, 70, 100)
 QUBITS_PER_NODE = 10
+#: UCCSD widths of the slot-search scaling rows (4-node line).
+SLOT_SCALING_QUBITS = (6, 8, 10)
+SLOT_SCALING_NODES = 4
+#: Seeded Monte-Carlo run timed per ``slot_search_scaling`` sample.
+SLOT_SCALING_MC = SimulationConfig(p_epr=0.5, seed=3, trials=3,
+                                   record_trace=False, record_metrics=False)
+#: Report sections whose ``before`` block ``--before`` fills in.
+SCALING_SECTIONS = ("aggregation_scaling", "slot_search_scaling")
 
 
 def _compile_optimized(circuit, mapping, network):
@@ -167,6 +184,47 @@ def aggregation_scaling(repeat: int,
             "rows": rows, "exponent": round(exponent, 2)}
 
 
+def _median_ms(repeat: int, run) -> float:
+    samples = []
+    for _ in range(repeat):
+        begin = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - begin)
+    return statistics.median(samples) * 1e3
+
+
+def slot_search_scaling(repeat: int,
+                        sizes: Sequence[int] = SLOT_SCALING_QUBITS
+                        ) -> Dict[str, object]:
+    """Per-trial Monte-Carlo and schedule-execute time for UCCSD on a line."""
+    rows = []
+    for num_qubits in sizes:
+        nodes = SLOT_SCALING_NODES
+        network = apply_topology(
+            uniform_network(nodes, -(-num_qubits // nodes)), "line")
+        program = compile_autocomm(uccsd_circuit(num_qubits), network)
+        assignment = program.assignment
+        mc_ms = _median_ms(repeat, lambda: run_monte_carlo(
+            program, SLOT_SCALING_MC)) / SLOT_SCALING_MC.trials
+        # The compile above memoised both plans and their op profiles on the
+        # assignment, so this times the two list-scheduling executions only.
+        execute_ms = _median_ms(repeat, lambda: schedule_communications(
+            assignment, network))
+        rows.append({"name": f"UCCSD-{num_qubits}-{nodes}-line",
+                     "qubits": num_qubits, "nodes": nodes,
+                     "comm": program.metrics.total_comm,
+                     "mc_trial_ms": round(mc_ms, 3),
+                     "schedule_execute_ms": round(execute_ms, 3)})
+    comms = [row["comm"] for row in rows]
+    return {"topology": "line", "nodes": SLOT_SCALING_NODES,
+            "mc_trials": SLOT_SCALING_MC.trials, "p_epr": SLOT_SCALING_MC.p_epr,
+            "rows": rows,
+            "mc_trial_exponent": round(fitted_exponent(
+                comms, [row["mc_trial_ms"] for row in rows]), 2),
+            "schedule_execute_exponent": round(fitted_exponent(
+                comms, [row["schedule_execute_ms"] for row in rows]), 2)}
+
+
 def _microbench_gate_qubit_set() -> Dict[str, float]:
     """Satellite micro-benchmark: cached ``Gate.qubit_set`` vs re-building."""
     gate = Gate("cx", (3, 17))
@@ -204,7 +262,7 @@ def run_bench(scale: str, families: Sequence[str] = DEFAULT_FAMILIES,
     }
     return {
         "bench": "compiler_perf",
-        "schema": 2,
+        "schema": 3,
         "scale": scale,
         "repeat": repeat,
         "configs": configs,
@@ -213,6 +271,7 @@ def run_bench(scale: str, families: Sequence[str] = DEFAULT_FAMILIES,
         "all_results_equal": all(c["results_equal"] for c in configs),
         "micro": {"gate_qubit_set": _microbench_gate_qubit_set()},
         "aggregation_scaling": aggregation_scaling(repeat),
+        "slot_search_scaling": slot_search_scaling(repeat),
     }
 
 
@@ -257,6 +316,12 @@ def _emit_report(report: Dict[str, object]) -> None:
          columns=["name", "gates", "items", "aggregation_ms"],
          note=f"fitted exponent {scaling['exponent']} "
               f"(log aggregation time vs log qubits)")
+    slots = report["slot_search_scaling"]
+    emit("compiler_slot_search_scaling", slots["rows"],
+         columns=["name", "comm", "mc_trial_ms", "schedule_execute_ms"],
+         note=f"fitted exponents vs communication count: Monte-Carlo per "
+              f"trial {slots['mc_trial_exponent']}, schedule execute "
+              f"{slots['schedule_execute_exponent']}")
 
 
 def test_bench_compiler_perf():
@@ -301,8 +366,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write the JSON report here "
                              "(e.g. BENCH_compiler.json)")
     parser.add_argument("--before", type=Path, default=None,
-                        help="report whose aggregation_scaling becomes this "
-                             "report's aggregation_scaling.before")
+                        help="report whose aggregation_scaling and "
+                             "slot_search_scaling become this report's "
+                             "before blocks")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="committed BENCH_compiler.json to check for "
                              ">2x speedup regressions (exit 1 on failure)")
@@ -311,9 +377,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     families = [f for f in args.families.split(",") if f]
     report = run_bench(args.scale, families=families, repeat=args.repeat)
     if args.before is not None:
-        before = json.loads(args.before.read_text())["aggregation_scaling"]
-        before.pop("before", None)
-        report["aggregation_scaling"]["before"] = before
+        previous = json.loads(args.before.read_text())
+        for section in SCALING_SECTIONS:
+            if section in previous:
+                before = previous[section]
+                before.pop("before", None)
+                report[section]["before"] = before
     _emit_report(report)
 
     if args.output is not None:

@@ -62,15 +62,23 @@ class SlotSchedule:
         return len(self.intervals)
 
     def slot_free(self, slot: int, start: float, end: float) -> bool:
-        """True when ``slot`` is idle over ``[start, end)``.
+        """True when ``slot`` is idle over ``[start, end)``."""
+        return self._free_index(slot, start, end) is not None
+
+    def _free_index(self, slot: int, start: float,
+                    end: float) -> Optional[int]:
+        """Position of ``[start, end)`` in ``slot``'s booking order, or
+        ``None`` when it overlaps a booking.
 
         Only the first booking ending after ``start`` can overlap: the ones
         before it end at or before ``start``, the ones after it start no
-        earlier than it does.
+        earlier than it does.  A free window sorts right before it.
         """
         index = bisect_right(self.ends[slot], start)
         intervals = self.intervals[slot]
-        return index == len(intervals) or intervals[index][0] >= end
+        if index < len(intervals) and intervals[index][0] < end:
+            return None
+        return index
 
     def earliest_on_slot(self, slot: int, duration: float,
                          not_before: float, lead: float = 0.0) -> float:
@@ -139,16 +147,17 @@ class SlotSchedule:
             raise ValueError("reservation end precedes start")
         if slot is None:
             for candidate in range(self.num_slots):
-                if self.slot_free(candidate, start, end):
+                index = self._free_index(candidate, start, end)
+                if index is not None:
                     slot = candidate
                     break
             else:
                 raise ValueError(f"no free slot in [{start}, {end})")
-        elif not self.slot_free(slot, start, end):
-            raise ValueError(f"slot {slot} is busy in [{start}, {end})")
-        intervals = self.intervals[slot]
-        index = bisect_right(intervals, (start, end))
-        intervals.insert(index, (start, end))
+        else:
+            index = self._free_index(slot, start, end)
+            if index is None:
+                raise ValueError(f"slot {slot} is busy in [{start}, {end})")
+        self.intervals[slot].insert(index, (start, end))
         self.ends[slot].insert(index, end)
         return slot
 

@@ -13,14 +13,9 @@ time units?".  The block scheduler in :mod:`repro.core.scheduling` and the
 baseline schedulers both build on it, so the resource constraint is applied
 identically to every compiler being compared.
 
-Each slot keeps its bookings sorted by ``(start, end)`` next to a parallel
-sorted list of their ends.  The second list is exact because bookings on
-one slot never overlap: :meth:`SlotSchedule.book` only accepts ``[s, e)``
-when no booked ``[s', e')`` has ``s' < e`` and ``s < e'``, so of two
-bookings one ends at or before the other starts (a zero-length booking
-ties at its start), and ends are non-decreasing in start order.  A query
-at time ``t`` then skips, with one bisection, every booking that ends at
-or before ``t``.
+Bookings on one slot never overlap, so their ends are non-decreasing in
+start order; each slot keeps that list of ends, and a query at time ``t``
+skips with one bisection every booking that ends at or before ``t``.
 """
 
 from __future__ import annotations
@@ -42,10 +37,13 @@ class SlotSchedule:
     EPR-generation contention queues.
 
     Invariant: ``ends[slot]`` lists the ends of ``intervals[slot]`` in the
-    same order and is itself sorted, because bookings on one slot never
-    overlap.  Every query bisects it to start past the bookings that end at
-    or before its own start, so a query costs O(log n) plus the bookings it
-    actually has to step over.
+    same order and is itself sorted.  :meth:`book` only accepts ``[s, e)``
+    when no booked ``[s', e')`` has ``s' < e`` and ``s < e'``, so of two
+    bookings one ends at or before the other starts (a zero-length booking
+    may tie at the other's start), and ends cannot decrease in start order.
+    Every query bisects ``ends`` to start past the bookings that end at or
+    before its own start, so it costs O(log n) plus the bookings it has to
+    step over.
     """
 
     def __init__(self, num_slots: int) -> None:

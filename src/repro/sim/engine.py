@@ -54,8 +54,8 @@ _FINISH, _READY = 0, 1
 
 #: Largest accepted chance that one EPR pair exhausts ``MAX_ATTEMPTS``.
 EXHAUSTION_BOUND = 1e-9
-#: ``p_epr`` above which the exhaustion chance ``(1 - p) ** MAX_ATTEMPTS``
-#: stays within ``EXHAUSTION_BOUND``, rounded up to 0.000208.
+#: The smallest ``p_epr`` whose exhaustion chance ``(1 - p) ** MAX_ATTEMPTS``
+#: stays within ``EXHAUSTION_BOUND``, rounded up to six decimals (0.000208).
 MIN_P_EPR = math.ceil(
     -math.expm1(math.log(EXHAUSTION_BOUND) / MAX_ATTEMPTS) * 1e6) / 1e6
 
@@ -105,8 +105,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.p_epr <= 1.0:
             raise ValueError(f"p_epr must be in (0, 1], got {self.p_epr}")
-        # Rejected here, not after a trial has run for minutes: one pair
-        # would exhaust the attempt limit too likely to finish a program.
+        # Rejected here, not as a RuntimeError deep inside a trial.
         if (1.0 - self.p_epr) ** MAX_ATTEMPTS > EXHAUSTION_BOUND:
             raise ValueError(
                 f"p_epr={self.p_epr} is too small: one EPR pair would exceed "

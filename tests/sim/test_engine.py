@@ -52,11 +52,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             replace(SimulationConfig(p_epr=0.5), p_epr=1e-9)
 
-    def test_tiny_p_fails_before_running(self, qft_program):
-        with pytest.raises(ValueError, match="too small"):
-            run_monte_carlo(qft_program,
-                            SimulationConfig(p_epr=1e-9, seed=1, trials=2))
-
 
 class TestDeterministicExecution:
     def test_empty_program(self):

@@ -193,12 +193,10 @@ def _median_ms(repeat: int, run) -> float:
     return statistics.median(samples) * 1e3
 
 
-def slot_search_scaling(repeat: int,
-                        sizes: Sequence[int] = SLOT_SCALING_QUBITS
-                        ) -> Dict[str, object]:
+def slot_search_scaling(repeat: int) -> Dict[str, object]:
     """Per-trial Monte-Carlo and schedule-execute time for UCCSD on a line."""
     rows = []
-    for num_qubits in sizes:
+    for num_qubits in SLOT_SCALING_QUBITS:
         nodes = SLOT_SCALING_NODES
         network = apply_topology(
             uniform_network(nodes, -(-num_qubits // nodes)), "line")

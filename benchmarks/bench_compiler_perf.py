@@ -25,13 +25,15 @@ deliberately excludes decomposition and partitioning, which are identical
 byte-for-byte in both paths.
 
 The report also carries ``aggregation_scaling``: absolute aggregation wall
-time for QFT-40/70/100 on a ring with 10 qubits per node (median of
-``--repeat`` cold-cache runs) and the exponent of a least-squares fit of
-log time against log qubits.  ``--before REPORT`` copies another report's
-``aggregation_scaling`` into this one as its ``before`` block, so the
-committed file holds the rows of the code before a change next to the rows
-after it.  To record the before rows, run this script with ``PYTHONPATH``
-pointing at the older tree's ``src``.
+time and burst-plan build time (``plan_schedule``: TP-chain fusion plus the
+commutation-aware dependency graph) for QFT-40/70/100 on a ring with 10
+qubits per node (median of ``--repeat`` cold-cache runs) and the exponent
+of a least-squares fit of log time against log qubits for each.
+``--before REPORT`` copies another report's ``aggregation_scaling`` into
+this one as its ``before`` block, so the committed file holds the rows of
+the code before a change next to the rows after it.  To record the before
+rows, run this script with ``PYTHONPATH`` pointing at the older tree's
+``src``.
 
 ``slot_search_scaling`` does the same for comm-qubit slot search, which
 both list schedulers lean on: UCCSD-6/8/10 on a 4-node line, with the
@@ -70,6 +72,7 @@ from repro.core import (
     assign_communications,
     assign_communications_reference,
     compile_autocomm,
+    plan_schedule,
     schedule_communications,
     schedule_communications_reference,
 )
@@ -159,7 +162,8 @@ def fitted_exponent(sizes: Sequence[float], times: Sequence[float]) -> float:
 def aggregation_scaling(repeat: int,
                         sizes: Sequence[int] = SCALING_QUBITS
                         ) -> Dict[str, object]:
-    """Absolute aggregation time for QFT on a ring, and its fitted exponent."""
+    """Absolute aggregation and burst-plan time for QFT on a ring, and the
+    fitted exponent of each."""
     rows = []
     for num_qubits in sizes:
         nodes = -(-num_qubits // QUBITS_PER_NODE)
@@ -168,20 +172,32 @@ def aggregation_scaling(repeat: int,
                                  "ring")
         mapping = oee_partition(circuit, network).mapping
         samples = []
+        plan_samples = []
         for _ in range(repeat):
             clear_commutation_cache()
             begin = time.perf_counter()
             result = aggregate_communications(circuit, mapping)
             samples.append(time.perf_counter() - begin)
+            # A fresh assignment each time: plans are memoised on it.
+            assignment = assign_communications(result)
+            clear_commutation_cache()
+            begin = time.perf_counter()
+            plan_schedule(assignment, burst=True)
+            plan_samples.append(time.perf_counter() - begin)
         rows.append({"name": f"QFT-{num_qubits}-{nodes}-ring",
                      "qubits": num_qubits, "nodes": nodes,
                      "gates": len(circuit), "items": len(result.items),
                      "aggregation_ms": round(
-                         statistics.median(samples) * 1e3, 3)})
-    exponent = fitted_exponent([row["qubits"] for row in rows],
+                         statistics.median(samples) * 1e3, 3),
+                     "plan_ms": round(
+                         statistics.median(plan_samples) * 1e3, 3)})
+    qubits = [row["qubits"] for row in rows]
+    exponent = fitted_exponent(qubits,
                                [row["aggregation_ms"] for row in rows])
+    plan_exponent = fitted_exponent(qubits, [row["plan_ms"] for row in rows])
     return {"topology": "ring", "qubits_per_node": QUBITS_PER_NODE,
-            "rows": rows, "exponent": round(exponent, 2)}
+            "rows": rows, "exponent": round(exponent, 2),
+            "plan_exponent": round(plan_exponent, 2)}
 
 
 def _median_ms(repeat: int, run) -> float:
@@ -311,9 +327,10 @@ def _emit_report(report: Dict[str, object]) -> None:
          note=note)
     scaling = report["aggregation_scaling"]
     emit("compiler_aggregation_scaling", scaling["rows"],
-         columns=["name", "gates", "items", "aggregation_ms"],
-         note=f"fitted exponent {scaling['exponent']} "
-              f"(log aggregation time vs log qubits)")
+         columns=["name", "gates", "items", "aggregation_ms", "plan_ms"],
+         note=f"fitted exponents (log time vs log qubits): aggregation "
+              f"{scaling['exponent']}, burst plan "
+              f"{scaling['plan_exponent']}")
     slots = report["slot_search_scaling"]
     emit("compiler_slot_search_scaling", slots["rows"],
          columns=["name", "comm", "mc_trial_ms", "schedule_execute_ms"],

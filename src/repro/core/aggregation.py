@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..comm.blocks import CommBlock
 from ..ir.circuit import Circuit
-from ..ir.commutation import commutation_cache_stats, commutes
+from ..ir.commutation import (CommutationSummary, commutation_cache_stats,
+                               commutes)
 from ..ir.gates import Gate
 from ..obs.span import stage
 from ..partition.mapping import QubitMapping
@@ -202,33 +203,31 @@ class CommAggregator:
         end = len(slots)
 
         block: Optional[CommBlock] = None
-        block_qubits: Set[int] = set()
-        block_by_qubit: Dict[int, List[Gate]] = defaultdict(list)
+        # The open block's gates and the deferred items' gates, summarised
+        # per qubit by structural class: a single-gate candidate is checked
+        # against a window in the number of classes added since its last
+        # query, not in the window's length (CommutationSummary).  The
+        # block summary follows the open block's gate list, the deferred
+        # one a flat list of the deferred items' gates.
+        block_summary: Optional[CommutationSummary] = None
         deferred: List[ScheduleItem] = []
+        deferred_gates: List[Gate] = []
+        deferred_summary = CommutationSummary(deferred_gates)
+        # Deferred item indices per qubit, for block candidates only; built
+        # up to ``indexed`` items when one asks.
         deferred_by_qubit: Dict[int, List[int]] = defaultdict(list)
-        # Incremental conjunction memo for commutes_with_deferred: two
-        # single-gate candidates with the same name/params whose
-        # deferred-touching qubits are identical (position and value) face
-        # exactly the same pairwise patterns, because a candidate qubit
-        # absent from deferred_by_qubit cannot overlap any deferred gate.
-        # Each entry records how many deferred items its verdict covers, so
-        # a later candidate with the same signature only checks the newly
-        # deferred suffix instead of the whole list.
-        conjunction_memo: Dict[tuple, Tuple[int, bool]] = {}
-        # Same incremental-signature scheme against the open block's gates
-        # (the block also only grows until it closes).
-        block_memo: Dict[tuple, Tuple[int, bool]] = {}
+        indexed = 0
 
         def close_block() -> None:
-            nonlocal block, deferred, deferred_by_qubit, block_qubits, \
-                block_by_qubit
+            nonlocal block, deferred, deferred_by_qubit, indexed, \
+                block_summary, deferred_gates, deferred_summary
             block = None
-            block_qubits = set()
-            block_by_qubit = defaultdict(list)
+            block_summary = None
             deferred = []
+            deferred_gates = []
+            deferred_summary = CommutationSummary(deferred_gates)
             deferred_by_qubit = defaultdict(list)
-            conjunction_memo.clear()
-            block_memo.clear()
+            indexed = 0
 
         def check_against_deferred(gate: Gate, checked: Set[int]) -> bool:
             # ``checked`` is shared across a multi-gate candidate: each
@@ -248,98 +247,37 @@ class CommAggregator:
             return True
 
         def commutes_with_deferred(candidate: ScheduleItem) -> bool:
-            count = len(deferred)
-            if not count:
+            nonlocal indexed
+            if not deferred:
                 return True
             if isinstance(candidate, CommBlock):
+                for index in range(indexed, len(deferred)):
+                    for qubit in item_qubits(deferred[index]):
+                        deferred_by_qubit[qubit].append(index)
+                indexed = len(deferred)
                 checked: Set[int] = set()
                 for gate in candidate.gates:
                     if not check_against_deferred(gate, checked):
                         return False
                 return True
-            signature = (candidate.name, candidate.params,
-                         tuple((pos, q)
-                               for pos, q in enumerate(candidate.qubits)
-                               if q in deferred_by_qubit))
-            entry = conjunction_memo.get(signature)
-            if entry is None:
-                verdict = check_against_deferred(candidate, set())
-            else:
-                covered, verdict = entry
-                if not verdict:
-                    # A failed conjunction stays failed as deferred grows.
-                    return False
-                if covered == count:
-                    return True
-                # Only the items deferred since the cached verdict need
-                # checking; disjoint ones resolve instantly inside commutes.
-                for index in range(covered, count):
-                    other = deferred[index]
-                    other_gates = (other.gates if isinstance(other, CommBlock)
-                                   else (other,))
-                    for other_gate in other_gates:
-                        if not commutes(candidate, other_gate):
-                            verdict = False
-                            break
-                    if not verdict:
-                        break
-            conjunction_memo[signature] = (count, verdict)
-            return verdict
-
-        def check_against_block(gate: Gate) -> bool:
-            seen: Set[int] = set()
-            for qubit in gate.qubits:
-                for block_gate in block_by_qubit.get(qubit, ()):
-                    marker = id(block_gate)
-                    if marker in seen:
-                        continue
-                    seen.add(marker)
-                    if not commutes(gate, block_gate):
-                        return False
-            return True
+            return deferred_summary.admits(candidate)
 
         def commutes_with_block(candidate: ScheduleItem) -> bool:
             if isinstance(candidate, CommBlock):
                 for gate in candidate.gates:
-                    if gate.name in _BLOCKING_NAMES:
-                        return False
-                    if not check_against_block(gate):
+                    if (gate.name in _BLOCKING_NAMES
+                            or not block_summary.admits(gate)):
                         return False
                 return True
-            if candidate.name in _BLOCKING_NAMES:
-                return False
-            count = len(block.gates)
-            signature = (candidate.name, candidate.params,
-                         tuple((pos, q)
-                               for pos, q in enumerate(candidate.qubits)
-                               if q in block_qubits))
-            entry = block_memo.get(signature)
-            if entry is None:
-                verdict = check_against_block(candidate)
-            else:
-                covered, verdict = entry
-                if not verdict:
-                    return False
-                if covered == count:
-                    return True
-                for block_gate in block.gates[covered:]:
-                    if not commutes(candidate, block_gate):
-                        verdict = False
-                        break
-            block_memo[signature] = (count, verdict)
-            return verdict
-
-        def absorb(gate: Gate) -> None:
-            block.append(gate)
-            block_qubits.update(gate.qubits)
-            for qubit in gate.qubits:
-                block_by_qubit[qubit].append(gate)
+            return (candidate.name not in _BLOCKING_NAMES
+                    and block_summary.admits(candidate))
 
         def defer(item: ScheduleItem) -> None:
-            index = len(deferred)
             deferred.append(item)
-            for qubit in item_qubits(item):
-                deferred_by_qubit[qubit].append(index)
+            if isinstance(item, CommBlock):
+                deferred_gates.extend(item.gates)
+            else:
+                deferred_gates.append(item)
 
         def item_qubits(candidate: ScheduleItem):
             if isinstance(candidate, CommBlock):
@@ -373,18 +311,19 @@ class CommAggregator:
                 if block is None:
                     block = CommBlock(hub_qubit=hub, hub_node=hub_node,
                                       remote_node=remote_node)
+                    block_summary = CommutationSummary(block.gates)
                     slots[slot] = block
                     self._blocks_made += 1
                     last_live = slot
                 else:
                     nxt[last_live] = following
-                absorb(item)
+                block.append(item)
             elif self._allowed_in_block(item, hub, remote_qubits):
                 # Absorbing keeps the gate at its original position relative
                 # to the block; it only reorders against deferred items.
                 if not deferred or (self.use_commutation
                                     and commutes_with_deferred(item)):
-                    absorb(item)
+                    block.append(item)
                     nxt[last_live] = following
                 elif self.use_commutation:
                     defer(item)
@@ -392,7 +331,7 @@ class CommAggregator:
                 else:
                     close_block()
             elif self.use_commutation and (
-                    block_qubits.isdisjoint(item_qubits(item))
+                    block.touched_set.isdisjoint(item_qubits(item))
                     or commutes_with_block(item)) \
                     and commutes_with_deferred(item):
                 defer(item)

@@ -22,7 +22,6 @@ strict program order between blocks and performs no fusion.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -31,7 +30,7 @@ from ..comm.cost import block_latency
 from ..hardware.epr import CommResourceTracker
 from ..hardware.network import QuantumNetwork
 from ..hardware.timing import LatencyModel
-from ..ir.commutation import commutes
+from ..ir.commutation import CommutationSummary
 from ..ir.gates import Gate
 from ..obs.span import stage
 from ..partition.mapping import QubitMapping
@@ -233,63 +232,40 @@ class _PairwiseCommutation:
     """Memoised item-pair commutation checks within one plan build.
 
     ``_items_commute`` asks "does every gate of A commute with every gate of
-    B?" — naively |A| x |B| gate-pair queries.  Two facts make that cheap:
-    gate pairs on disjoint qubits always commute (so only B-gates sharing a
-    qubit with the A-gate need checking, found through a per-item
-    qubit-to-gates index), and the scheduler asks about the same item pairs
-    repeatedly across the lookback window, so the verdict is memoised per
-    ordered-id pair.  Memoisation is only valid while the item objects stay
-    alive and unchanged, which holds for the duration of one
-    :func:`plan_schedule` call.
+    B?" — naively |A| x |B| gate-pair queries.  Each item is summarised
+    once into per-qubit structural classes of its gates
+    (:class:`~repro.ir.commutation.CommutationSummary`), so a pair costs the
+    class pairs on the qubits both items touch, each a memoised verdict.
+    The scheduler also asks about the same item pairs repeatedly across the
+    lookback window, so the verdict is memoised per ordered-id pair.
+    Memoisation is only valid while the item objects stay alive and
+    unchanged, which holds for the duration of one :func:`plan_schedule`
+    call.
     """
 
     def __init__(self) -> None:
         self._memo: Dict[Tuple[int, int], bool] = {}
-        self._index: Dict[int, Dict[int, List[Gate]]] = {}
+        self._summaries: Dict[int, CommutationSummary] = {}
 
     def items_commute(self, a: SchedulableItem, b: SchedulableItem) -> bool:
         ia, ib = id(a), id(b)
         key = (ia, ib) if ia <= ib else (ib, ia)
         verdict = self._memo.get(key)
         if verdict is None:
-            verdict = self._compute(a, b)
-            self._memo[key] = verdict
+            summaries = self._summaries
+            summary_a = summaries.get(ia)
+            if summary_a is None:
+                summary_a = summaries[ia] = _summarise(a)
+            summary_b = summaries.get(ib)
+            if summary_b is None:
+                summary_b = summaries[ib] = _summarise(b)
+            verdict = self._memo[key] = summary_a.commutes_with(summary_b)
         return verdict
 
-    def _gates_by_qubit(self, item: SchedulableItem) -> Dict[int, List[Gate]]:
-        index = self._index.get(id(item))
-        if index is None:
-            index = defaultdict(list)
-            gates = (item.gates if isinstance(item, (CommBlock, FusedTPChain))
-                     else (item,))
-            for gate in gates:
-                for qubit in gate.qubits:
-                    index[qubit].append(gate)
-            self._index[id(item)] = index
-        return index
 
-    def _compute(self, a: SchedulableItem, b: SchedulableItem) -> bool:
-        shared = _touched_set(a) & _touched_set(b)
-        if not shared:
-            return True
-        # A gate pair can only fail to commute when it overlaps, and any
-        # overlap lies inside the items' shared qubits — so only the gates
-        # touching those qubits (found through both items' indices) need
-        # pairwise checks; every skipped pair is disjoint and commutes.
-        index_a = self._gates_by_qubit(a)
-        index_b = self._gates_by_qubit(b)
-        checked: Set[Tuple[int, int]] = set()
-        for qubit in shared:
-            for ga in index_a.get(qubit, ()):
-                ga_id = id(ga)
-                for gb in index_b.get(qubit, ()):
-                    key = (ga_id, id(gb))
-                    if key in checked:
-                        continue
-                    checked.add(key)
-                    if not commutes(ga, gb):
-                        return False
-        return True
+def _summarise(item: SchedulableItem) -> CommutationSummary:
+    return CommutationSummary(
+        item.gates if isinstance(item, (CommBlock, FusedTPChain)) else (item,))
 
 
 def fuse_tp_chains(items: Sequence[ScheduleItem],

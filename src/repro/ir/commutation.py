@@ -14,12 +14,20 @@ structural question for thousands of concrete gate pairs) collapse to one
 dict lookup.  The matrix fallback keeps the engine *sound* for every
 registered gate pair; the rules only make the first occurrence of each
 pattern fast.
+
+:class:`CommutationSummary` lifts the same idea from gate pairs to gate
+*collections*: it files each gate, per qubit, under a structural class
+``(name, params, position, arity)`` and answers "does this gate (or every
+gate of that summary) commute with all of mine?" by comparing classes, so
+a window of hundreds of gates costs a handful of memoised class verdicts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -32,9 +40,12 @@ __all__ = [
     "clear_commutation_cache",
     "commutation_cache_stats",
     "set_commutation_cache_enabled",
+    "CommutationSummary",
 ]
 
 _ATOL = 1e-9
+#: ``np.allclose``'s default relative tolerance, kept by the matrix check.
+_RTOL = 1e-5
 
 # Pair-level memo: canonical (names, params, relative qubit overlap) -> bool.
 # Bounded defensively; a full clear on overflow is simpler than LRU eviction
@@ -43,6 +54,18 @@ _PAIR_CACHE: Dict[tuple, bool] = {}
 _PAIR_CACHE_MAX = 1 << 20
 _pair_cache_enabled = True
 _STATS = {"hits": 0, "misses": 0, "rule_decided": 0, "matrix_decided": 0}
+
+# Class-level memo: class_a -> {class_b: bool}, where a class is
+# ``(name, params, position of the shared qubit, arity)``; see
+# :func:`_class_pair_commutes`.  Rows keep the inner loops from hashing
+# ``class_a`` again for every ``class_b``.
+_CLASS_VERDICTS: Dict[tuple, Dict[tuple, bool]] = {}
+
+# Class keys interned across summaries, so that a class shared by many
+# summaries is one tuple, not one per summary and qubit.
+_CLASS_KEYS: Dict[tuple, tuple] = {}
+
+_NO_QUBITS: frozenset = frozenset()
 
 # Single-qubit gates that commute with being the *control* of a CX/CZ/CRZ/CP
 # (i.e. diagonal gates) and with being the *target* of a CX (X-axis gates).
@@ -59,6 +82,8 @@ _DIAGONAL_2Q = frozenset({"cz", "crz", "cp", "rzz"})
 def clear_commutation_cache() -> None:
     """Clear the memoised commutation results (pair-level and matrix-level)."""
     _PAIR_CACHE.clear()
+    _CLASS_VERDICTS.clear()
+    _CLASS_KEYS.clear()
     _matrix_commutes_cached.cache_clear()
     for key in _STATS:
         _STATS[key] = 0
@@ -82,6 +107,8 @@ def set_commutation_cache_enabled(enabled: bool) -> bool:
 
     Returns the previous setting.  Used by the perf-regression benchmarks to
     time the uncached reference path; results are identical either way.
+    The class-level memo of :class:`CommutationSummary` follows the same
+    switch.
     """
     global _pair_cache_enabled
     previous = _pair_cache_enabled
@@ -197,6 +224,308 @@ def commutes_through(gate: Gate, gates: Sequence[Gate]) -> bool:
     preserve the circuit semantics.
     """
     return commutes_with_all(gate, gates)
+
+
+# ---------------------------------------------------------------------------
+# Structural class summaries of gate collections
+# ---------------------------------------------------------------------------
+
+def _verdict_row(class_a: tuple) -> Dict[tuple, bool]:
+    """The memoised verdicts of ``class_a`` against other classes."""
+    row = _CLASS_VERDICTS.get(class_a)
+    if row is None:
+        row = {}
+        if _pair_cache_enabled:
+            _CLASS_VERDICTS[class_a] = row
+    return row
+
+
+def _class_pair_commutes(class_a: tuple, class_b: tuple,
+                         row: Dict[tuple, bool]) -> bool:
+    """Do two gates that share exactly one qubit commute, given their classes?
+
+    A class is ``(name, params, position of the shared qubit, arity)``.
+    Because :func:`commutes` depends only on the canonical pair pattern, the
+    verdict is that of one synthetic pair with this pattern — the shared
+    qubit is 0 and every other qubit is private to its gate — so no
+    concrete gate can carry a second shared qubit into a memoised verdict.
+    ``row`` is ``_verdict_row(class_a)``; the verdict is stored there.
+    """
+    verdict = row.get(class_b)
+    if verdict is None:
+        verdict = row[class_b] = commutes(
+            _class_representative(class_a, 1),
+            _class_representative(class_b, class_a[3]))
+    return verdict
+
+
+def _class_representative(gate_class: tuple, first_private: int) -> Gate:
+    """A gate of ``gate_class`` on qubit 0; its other qubits start at
+    ``first_private``."""
+    name, params, position, arity = gate_class
+    qubits = list(range(first_private, first_private + arity - 1))
+    qubits.insert(position, 0)
+    return Gate.from_trusted(name, tuple(qubits), params)
+
+
+def _pair_id(a: int, b: int) -> int:
+    """One int per unordered qubit pair (ints add no garbage-collector
+    work, where tuples would)."""
+    return (a << 32 | b) if a < b else (b << 32 | a)
+
+
+class CommutationSummary:
+    """Per-qubit structural summary of a growing sequence of gates.
+
+    Every unitary gate is filed, for each qubit ``q`` it touches, under the
+    class ``(name, params, position of q, arity)``; each qubit keeps its
+    distinct classes in the order they appeared.  A gate that shares only
+    ``q`` with a member commutes with it exactly when the two classes do
+    (:func:`_class_pair_commutes`), so the questions below reduce to class
+    verdicts plus two exact corrections:
+
+    * gates sharing two or more qubits are checked directly, found through
+      an index of members by qubit pair;
+    * a failing class verdict only counts through a member that really
+      shares a single qubit; members sharing more are checked directly.
+
+    Non-unitary gates (barrier, measure, reset) commute with nothing they
+    overlap, so they only mark their qubits as opaque.
+
+    The summary follows the list it was given: gates appended to it later
+    count from the next question on.  Work and memory wait until a question
+    needs them: gates are grouped by qubit when a question is asked, and a
+    qubit's gates are filed into classes when a question first compares
+    classes there.  Classes at a qubit only grow, so :meth:`admits` keeps,
+    per candidate class and qubit, how many classes it has compared and
+    which of them failed: a repeated query costs the classes added since,
+    not the window.  That memo lives and dies with the summary; the
+    class-pair verdicts are global and emptied by
+    :func:`clear_commutation_cache`.
+    """
+
+    __slots__ = ("_source", "_grouped", "_at", "_opaque", "_filed",
+                 "_classes_at", "_pairs", "_seen")
+
+    def __init__(self, gates: Sequence[Gate]) -> None:
+        self._source = gates
+        #: How many gates of ``_source`` are grouped by qubit.
+        self._grouped = 0
+        #: qubit -> the unitary gates touching it.
+        self._at: Dict[int, List[Gate]] = {}
+        self._opaque: AbstractSet[int] = _NO_QUBITS
+        # Made when a qubit is first filed: qubit -> how many of its gates
+        # are filed, and its classes in the order they appeared (a dict
+        # used as an ordered set); qubit pair (``_pair_id``) -> filed
+        # gates touching both qubits.
+        self._filed: Optional[Dict[int, int]] = None
+        self._classes_at: Optional[Dict[int, Dict[tuple, None]]] = None
+        self._pairs: Optional[Dict[int, List[Gate]]] = None
+        #: (candidate class, qubit) -> (classes compared, failing classes).
+        self._seen: Optional[Dict[tuple, Tuple[int, List[tuple]]]] = None
+
+    def _group(self) -> None:
+        """Group the gates appended to the followed list by qubit."""
+        source, at = self._source, self._at
+        for gate in source[self._grouped:]:
+            if not gate._is_unitary:
+                self._opaque = self._opaque | frozenset(gate.qubits)
+                continue
+            for qubit in gate.qubits:
+                gates = at.get(qubit)
+                if gates is None:
+                    at[qubit] = [gate]
+                else:
+                    gates.append(gate)
+        self._grouped = len(source)
+
+    def _first_gates(self) -> Dict[int, Gate]:
+        """qubit -> the first gate touching it (a scan; nothing is kept)."""
+        first: Dict[int, Gate] = {}
+        for gate in self._source:
+            for qubit in gate.qubits:
+                if qubit not in first:
+                    first[qubit] = gate
+        return first
+
+    def _classes(self, qubit: int) -> Dict[tuple, None]:
+        """The classes at ``qubit``, after filing its gates not yet filed.
+
+        A qubit pair is indexed when its first qubit (in the gate's order)
+        is filed; every question files all the qubits it compares before it
+        looks a pair up.
+        """
+        filed = self._filed
+        if filed is None:
+            filed, self._classes_at, self._pairs = {}, {}, {}
+            self._filed = filed
+        gates = self._at[qubit]
+        start = filed.get(qubit, 0)
+        if start == len(gates):
+            return self._classes_at[qubit]
+        known = self._classes_at.get(qubit)
+        if known is None:
+            known = self._classes_at[qubit] = {}
+        pairs = self._pairs
+        for gate in gates[start:]:
+            qubits = gate.qubits
+            arity = len(qubits)
+            position = qubits.index(qubit) if arity > 1 else 0
+            key = (gate.name, gate.params, position, arity)
+            if key not in known:
+                known[_CLASS_KEYS.setdefault(key, key)] = None
+            for other in qubits[position + 1:]:
+                pair = _pair_id(qubit, other)
+                members = pairs.get(pair)
+                if members is None:
+                    pairs[pair] = [gate]
+                else:
+                    members.append(gate)
+        filed[qubit] = len(gates)
+        return known
+
+    def _members(self, qubit: int, gate_class: tuple) -> List[Gate]:
+        """The gates of ``gate_class`` at ``qubit``."""
+        name, params, position, arity = gate_class
+        return [gate for gate in self._at[qubit]
+                if len(gate.qubits) == arity
+                and gate.qubits[position] == qubit
+                and gate.name == name and gate.params == params]
+
+    def admits(self, gate: Gate) -> bool:
+        """True when ``gate`` commutes with every gate of the summary."""
+        if self._grouped < len(self._source):
+            self._group()
+        qubits = gate.qubits
+        opaque, at = self._opaque, self._at
+        if not gate._is_unitary:
+            return opaque.isdisjoint(qubits) and at.keys().isdisjoint(qubits)
+        arity = len(qubits)
+        name, params = gate.name, gate.params
+        seen = self._seen
+        if seen is None:
+            seen = self._seen = {}
+        rows = _CLASS_VERDICTS
+        for position, qubit in enumerate(qubits):
+            if qubit in opaque:
+                return False
+            gates = at.get(qubit)
+            if gates is None:
+                continue
+            if (self._filed is None or qubit not in self._filed) \
+                    and not commutes(gate, gates[0]):
+                # Refuted by the qubit's first gate before filing it.
+                return False
+            known = self._classes(qubit)
+            own = (name, params, position, arity)
+            row = rows.get(own)
+            if row is None:
+                row = _verdict_row(own)
+            memo_key = (own, qubit)
+            memo = seen.get(memo_key)
+            if memo is None:
+                covered, failing = 0, []
+            else:
+                covered, failing = memo
+                for other in failing:
+                    if self._refutes(gate, qubit, other):
+                        return False
+            total = len(known)
+            if covered < total:
+                # Classes are compared lazily, as the pairwise loop did:
+                # the scan stops at the first class that refutes the gate.
+                for index, other in enumerate(islice(known, covered, None),
+                                              covered):
+                    verdict = row.get(other)
+                    if verdict is None:
+                        verdict = _class_pair_commutes(own, other, row)
+                    if not verdict:
+                        failing.append(other)
+                        if self._refutes(gate, qubit, other):
+                            seen[memo_key] = (index + 1, failing)
+                            return False
+                seen[memo_key] = (total, failing)
+        pairs = self._pairs
+        if pairs:
+            for index, a in enumerate(qubits):
+                for b in qubits[index + 1:]:
+                    for member in pairs.get(_pair_id(a, b), ()):
+                        if not commutes(gate, member):
+                            return False
+        return True
+
+    def _refutes(self, gate: Gate, qubit: int, gate_class: tuple) -> bool:
+        """Given that ``gate`` fails to commute with ``gate_class`` at
+        ``qubit`` on a single shared qubit, does a member really fail?
+
+        A member sharing only ``qubit`` does; one sharing more qubits has a
+        different overlap pattern and is checked directly.
+        """
+        if len(gate.qubits) == 1:
+            return True
+        shared = gate._qubit_set
+        for member in self._members(qubit, gate_class):
+            if (len(member._qubit_set & shared) == 1
+                    or not commutes(gate, member)):
+                return True
+        return False
+
+    def commutes_with(self, other: "CommutationSummary") -> bool:
+        """True when every gate here commutes with every gate of ``other``.
+
+        Costs the class pairs on the qubits both summaries touch, plus the
+        member pairs that share a qubit pair.  Before a summary is grouped,
+        or a shared qubit filed, the first gates there on both sides are
+        compared: most pairs of items that do not commute fail there, and a
+        failure is final.
+        """
+        if (self._grouped < len(self._source)
+                or other._grouped < len(other._source)):
+            mine, theirs = self._first_gates(), other._first_gates()
+            for qubit in mine.keys() & theirs.keys():
+                if not commutes(mine[qubit], theirs[qubit]):
+                    return False
+            if self._grouped < len(self._source):
+                self._group()
+            if other._grouped < len(other._source):
+                other._group()
+        mine, theirs = self._at, other._at
+        mine_opaque, theirs_opaque = self._opaque, other._opaque
+        if mine_opaque or theirs_opaque:
+            if (not mine_opaque.isdisjoint(theirs.keys())
+                    or not mine_opaque.isdisjoint(theirs_opaque)
+                    or not theirs_opaque.isdisjoint(mine.keys())):
+                return False
+        shared_qubits = mine.keys() & theirs.keys()
+        mine_filed, theirs_filed = self._filed, other._filed
+        for qubit in shared_qubits:
+            if ((mine_filed is None or qubit not in mine_filed
+                    or theirs_filed is None or qubit not in theirs_filed)
+                    and not commutes(mine[qubit][0], theirs[qubit][0])):
+                return False
+        rows = _CLASS_VERDICTS
+        for qubit in shared_qubits:
+            order_b = other._classes(qubit)
+            for class_a in self._classes(qubit):
+                row = rows.get(class_a)
+                if row is None:
+                    row = _verdict_row(class_a)
+                for class_b in order_b:
+                    verdict = row.get(class_b)
+                    if verdict is None:
+                        verdict = _class_pair_commutes(class_a, class_b, row)
+                    if not verdict and any(
+                            other._refutes(gate_a, qubit, class_b)
+                            for gate_a in self._members(qubit, class_a)):
+                        return False
+        theirs_pairs = other._pairs
+        if self._pairs and theirs_pairs:
+            for pair, members in self._pairs.items():
+                for gate_b in theirs_pairs.get(pair, ()):
+                    for gate_a in members:
+                        if not commutes(gate_a, gate_b):
+                            return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +645,10 @@ def _matrix_commutes_cached(key) -> bool:
     (name_a, params_a, pos_a, name_b, params_b, pos_b, n) = key
     mat_a = _embed(name_a, params_a, pos_a, n)
     mat_b = _embed(name_b, params_b, pos_b, n)
-    return bool(np.allclose(mat_a @ mat_b, mat_b @ mat_a, atol=_ATOL))
+    # ``np.allclose(ab, ba, atol=_ATOL)`` for finite matrices, without its
+    # argument handling (which costs more than the 4x4 products).
+    ab, ba = mat_a @ mat_b, mat_b @ mat_a
+    return bool(np.all(np.abs(ab - ba) <= _ATOL + _RTOL * np.abs(ba)))
 
 
 def _embed(name: str, params: Tuple[float, ...], positions: Tuple[int, ...],

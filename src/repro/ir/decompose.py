@@ -46,14 +46,19 @@ def decompose_gate(gate: Gate) -> List[Gate]:
 # Individual decompositions
 # ---------------------------------------------------------------------------
 
+#: The handlers build their gates from an already-validated gate's qubits
+#: and parameters, so they skip ``Gate``'s per-field validation.
+_trusted = Gate.from_trusted
+
+
 def _cz(gate: Gate) -> List[Gate]:
     c, t = gate.qubits
-    return [Gate("h", (t,)), Gate("cx", (c, t)), Gate("h", (t,))]
+    return [_trusted("h", (t,)), _trusted("cx", (c, t)), _trusted("h", (t,))]
 
 
 def _cy(gate: Gate) -> List[Gate]:
     c, t = gate.qubits
-    return [Gate("sdg", (t,)), Gate("cx", (c, t)), Gate("s", (t,))]
+    return [_trusted("sdg", (t,)), _trusted("cx", (c, t)), _trusted("s", (t,))]
 
 
 def _ch(gate: Gate) -> List[Gate]:
@@ -62,13 +67,13 @@ def _ch(gate: Gate) -> List[Gate]:
     # we use the exact ABC construction for controlled-U with U = H.
     c, t = gate.qubits
     return [
-        Gate("s", (t,)),
-        Gate("h", (t,)),
-        Gate("t", (t,)),
-        Gate("cx", (c, t)),
-        Gate("tdg", (t,)),
-        Gate("h", (t,)),
-        Gate("sdg", (t,)),
+        _trusted("s", (t,)),
+        _trusted("h", (t,)),
+        _trusted("t", (t,)),
+        _trusted("cx", (c, t)),
+        _trusted("tdg", (t,)),
+        _trusted("h", (t,)),
+        _trusted("sdg", (t,)),
     ]
 
 
@@ -76,10 +81,10 @@ def _crz(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("rz", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("rz", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _trusted("rz", (t,), (theta / 2,)),
+        _trusted("cx", (c, t)),
+        _trusted("rz", (t,), (-theta / 2,)),
+        _trusted("cx", (c, t)),
     ]
 
 
@@ -87,11 +92,11 @@ def _cp(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("p", (c,), (theta / 2,)),
-        Gate("p", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("p", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _trusted("p", (c,), (theta / 2,)),
+        _trusted("p", (t,), (theta / 2,)),
+        _trusted("cx", (c, t)),
+        _trusted("p", (t,), (-theta / 2,)),
+        _trusted("cx", (c, t)),
     ]
 
 
@@ -99,12 +104,12 @@ def _crx(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("h", (t,)),
-        Gate("rz", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("rz", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("h", (t,)),
+        _trusted("h", (t,)),
+        _trusted("rz", (t,), (theta / 2,)),
+        _trusted("cx", (c, t)),
+        _trusted("rz", (t,), (-theta / 2,)),
+        _trusted("cx", (c, t)),
+        _trusted("h", (t,)),
     ]
 
 
@@ -112,25 +117,26 @@ def _cry(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("ry", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("ry", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _trusted("ry", (t,), (theta / 2,)),
+        _trusted("cx", (c, t)),
+        _trusted("ry", (t,), (-theta / 2,)),
+        _trusted("cx", (c, t)),
     ]
 
 
 def _swap(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
-    return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
+    return [_trusted("cx", (a, b)), _trusted("cx", (b, a)),
+            _trusted("cx", (a, b))]
 
 
 def _rzz(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     a, b = gate.qubits
     return [
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), (theta,)),
-        Gate("cx", (a, b)),
+        _trusted("cx", (a, b)),
+        _trusted("rz", (b,), (theta,)),
+        _trusted("cx", (a, b)),
     ]
 
 
@@ -138,13 +144,13 @@ def _rxx(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     a, b = gate.qubits
     return [
-        Gate("h", (a,)),
-        Gate("h", (b,)),
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), (theta,)),
-        Gate("cx", (a, b)),
-        Gate("h", (a,)),
-        Gate("h", (b,)),
+        _trusted("h", (a,)),
+        _trusted("h", (b,)),
+        _trusted("cx", (a, b)),
+        _trusted("rz", (b,), (theta,)),
+        _trusted("cx", (a, b)),
+        _trusted("h", (a,)),
+        _trusted("h", (b,)),
     ]
 
 
@@ -152,34 +158,35 @@ def _ccx(gate: Gate) -> List[Gate]:
     """Standard 6-CX Toffoli decomposition."""
     a, b, c = gate.qubits
     return [
-        Gate("h", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (b,)),
-        Gate("t", (c,)),
-        Gate("h", (c,)),
-        Gate("cx", (a, b)),
-        Gate("t", (a,)),
-        Gate("tdg", (b,)),
-        Gate("cx", (a, b)),
+        _trusted("h", (c,)),
+        _trusted("cx", (b, c)),
+        _trusted("tdg", (c,)),
+        _trusted("cx", (a, c)),
+        _trusted("t", (c,)),
+        _trusted("cx", (b, c)),
+        _trusted("tdg", (c,)),
+        _trusted("cx", (a, c)),
+        _trusted("t", (b,)),
+        _trusted("t", (c,)),
+        _trusted("h", (c,)),
+        _trusted("cx", (a, b)),
+        _trusted("t", (a,)),
+        _trusted("tdg", (b,)),
+        _trusted("cx", (a, b)),
     ]
 
 
 def _ccz(gate: Gate) -> List[Gate]:
     a, b, c = gate.qubits
-    return [Gate("h", (c,))] + _ccx(Gate("ccx", (a, b, c))) + [Gate("h", (c,))]
+    return ([_trusted("h", (c,))] + _ccx(_trusted("ccx", (a, b, c)))
+            + [_trusted("h", (c,))])
 
 
 def _cswap(gate: Gate) -> List[Gate]:
     c, a, b = gate.qubits
-    out = [Gate("cx", (b, a))]
-    out.extend(_ccx(Gate("ccx", (c, a, b))))
-    out.append(Gate("cx", (b, a)))
+    out = [_trusted("cx", (b, a))]
+    out.extend(_ccx(_trusted("ccx", (c, a, b))))
+    out.append(_trusted("cx", (b, a)))
     return out
 
 

@@ -75,6 +75,8 @@ _GATE_RE = re.compile(
     r"(?P<name>[a-zA-Z_][\w]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*)",
     re.DOTALL)
 _QUBIT_RE = re.compile(r"q\[(\d+)\]")
+#: A ``gate`` or ``opaque`` definition at the start of a statement.
+_DEFINITION_RE = re.compile(r"(?:^|[;{}])\s*(gate|opaque)\s+([A-Za-z_]\w*)")
 
 
 def from_qasm(text: str) -> Circuit:
@@ -83,10 +85,16 @@ def from_qasm(text: str) -> Circuit:
     Supports a single ``qreg`` named ``q`` and the registered gate set.
     ``//`` comments run to the end of their line; statements end at ``;``
     wherever they sit, so one line may hold several and one statement may
-    span lines.  Text after the last ``;`` is rejected, not dropped.
+    span lines.  Text after the last ``;`` is rejected, not dropped, and so
+    are ``gate``/``opaque`` definitions, braces included.
     """
     if "//" in text:
         text = "\n".join(line.split("//", 1)[0] for line in text.split("\n"))
+    definition = _DEFINITION_RE.search(text)
+    if definition:
+        kind, name = definition.groups()
+        raise QasmError(f"{kind} definitions are not supported "
+                        f"({kind} {name})")
     *statements, tail = text.split(";")
     if tail.strip():
         raise QasmError(f"statement not terminated by ';': {tail.strip()!r}")

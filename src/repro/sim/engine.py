@@ -30,7 +30,6 @@ the program under the sampled EPR durations.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,7 +40,8 @@ from ..core.scheduling import SchedulePlan, plan_phased_schedule, plan_schedule
 from ..hardware.epr import CommResourceTracker, SlotSchedule
 from ..hardware.network import QuantumNetwork
 from ..obs.metrics import MetricsRegistry
-from .epr_process import MAX_ATTEMPTS, EPRProcess
+from .epr_process import (EXHAUSTION_BOUND, MAX_ATTEMPTS, MIN_P_EPR,
+                          EPRProcess, exhausts)
 from .trace import LatencyDistribution, TraceRecorder
 
 __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
@@ -51,13 +51,6 @@ __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
 #: Event-queue ordering: finishing operations release dependencies before
 #: ready items placed at the same instant make resource decisions.
 _FINISH, _READY = 0, 1
-
-#: Largest accepted chance that one EPR pair exhausts ``MAX_ATTEMPTS``.
-EXHAUSTION_BOUND = 1e-9
-#: The smallest ``p_epr`` whose exhaustion chance ``(1 - p) ** MAX_ATTEMPTS``
-#: stays within ``EXHAUSTION_BOUND``, rounded up to six decimals (0.000208).
-MIN_P_EPR = math.ceil(
-    -math.expm1(math.log(EXHAUSTION_BOUND) / MAX_ATTEMPTS) * 1e6) / 1e6
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class SimulationConfig:
         if not 0.0 < self.p_epr <= 1.0:
             raise ValueError(f"p_epr must be in (0, 1], got {self.p_epr}")
         # Rejected here, not as a RuntimeError deep inside a trial.
-        if (1.0 - self.p_epr) ** MAX_ATTEMPTS > EXHAUSTION_BOUND:
+        if exhausts(self.p_epr):
             raise ValueError(
                 f"p_epr={self.p_epr} is too small: one EPR pair would exceed "
                 f"{MAX_ATTEMPTS} attempts with probability above "

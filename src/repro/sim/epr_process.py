@@ -31,6 +31,7 @@ deterministic mode the schedule validator relies on.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -40,7 +41,8 @@ import numpy as np
 from ..hardware.links import combine_link_latencies
 from ..hardware.network import QuantumNetwork
 
-__all__ = ["EPRSample", "EPRProcess", "BatchedAttemptSampler"]
+__all__ = ["EPRSample", "EPRProcess", "BatchedAttemptSampler",
+           "MAX_ATTEMPTS", "EXHAUSTION_BOUND", "MIN_P_EPR"]
 
 #: Shared scratch generator for seed-based batched sampling.  Re-seeded and
 #: drawn from only inside ``BatchedAttemptSampler.__init__`` (atomically), so
@@ -158,6 +160,40 @@ class EPRSample:
 
 #: Attempts after which one EPR generation gives up with ``RuntimeError``.
 MAX_ATTEMPTS = 100_000
+#: Largest accepted chance that one EPR pair exhausts ``MAX_ATTEMPTS``.
+EXHAUSTION_BOUND = 1e-9
+#: The smallest per-attempt success probability whose exhaustion chance
+#: ``(1 - p) ** MAX_ATTEMPTS`` stays within ``EXHAUSTION_BOUND``, rounded
+#: up to six decimals (0.000208).
+MIN_P_EPR = math.ceil(
+    -math.expm1(math.log(EXHAUSTION_BOUND) / MAX_ATTEMPTS) * 1e6) / 1e6
+
+
+def exhausts(p_attempt: float) -> bool:
+    """Would one EPR pair at this per-attempt success probability exceed
+    ``MAX_ATTEMPTS`` with a chance above ``EXHAUSTION_BOUND``?"""
+    return (1.0 - p_attempt) ** MAX_ATTEMPTS > EXHAUSTION_BOUND
+
+
+def _check_link_p_epr(network: QuantumNetwork, p_success: float) -> None:
+    """Reject a link whose per-attempt success ``p_success * p_epr`` is
+    below the bound, before any trial samples it."""
+    model = network.link_model
+    if model is None:
+        return
+    if network.routing is not None:
+        links = sorted(network.routing.physical_links)
+    else:
+        links = network.node_pairs()
+    for a, b in links:
+        link_p = model.p_epr(a, b)
+        if exhausts(p_success * link_p):
+            raise ValueError(
+                f"link {a}-{b}: p_epr={link_p:g} times p_success="
+                f"{p_success:g} is {p_success * link_p:g} per attempt; one "
+                f"EPR pair would exceed {MAX_ATTEMPTS} attempts with "
+                f"probability above {EXHAUSTION_BOUND:g}; the product must "
+                f"be >= {MIN_P_EPR:g}")
 
 
 class EPRProcess:
@@ -183,6 +219,8 @@ class EPRProcess:
         if per_link is None:
             per_link = network.heterogeneous_links
         self.per_link = bool(per_link)
+        if self.per_link:
+            _check_link_p_epr(network, p_success)
         self._batched: Optional[BatchedAttemptSampler] = None
         # The network's link model never changes after engine construction,
         # so the determinism verdict (an O(overrides) scan through the

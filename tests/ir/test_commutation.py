@@ -222,6 +222,24 @@ class TestRuleMatrixAgreement:
     def test_optimized_matches_reference(self, a, b):
         assert commutes(a, b) is commutes_reference(a, b)
 
+    @settings(max_examples=120, deadline=None)
+    @given(_random_gate(), _random_gate())
+    def test_matrix_check_is_allclose(self, a, b):
+        # The matrix tier inlines np.allclose's comparison; the verdicts
+        # must be np.allclose's own on the same embedded unitaries.
+        from repro.ir.commutation import _embed, _matrix_commutes_cached
+
+        union = sorted(set(a.qubits) | set(b.qubits))
+        index = {q: i for i, q in enumerate(union)}
+        key = (a.name, a.params, tuple(index[q] for q in a.qubits),
+               b.name, b.params, tuple(index[q] for q in b.qubits),
+               len(union))
+        mat_a = _embed(a.name, a.params, key[2], len(union))
+        mat_b = _embed(b.name, b.params, key[5], len(union))
+        expected = bool(np.allclose(mat_a @ mat_b, mat_b @ mat_a,
+                                    atol=1e-9))
+        assert _matrix_commutes_cached.__wrapped__(key) is expected
+
     @settings(max_examples=60, deadline=None)
     @given(_random_gate(), _random_gate())
     def test_cache_disabled_matches_enabled(self, a, b):

@@ -135,3 +135,32 @@ class TestStatements:
         circuit = Circuit(3).h(0).cx(0, 1).rz(2, 0.25).cx(1, 2)
         packed = " ".join(to_qasm(circuit).splitlines())
         assert from_qasm(packed).gates == circuit.gates
+
+
+class TestDefinitions:
+    """``gate``/``opaque`` definitions are rejected, braces included."""
+
+    @pytest.mark.parametrize("definition", [
+        "gate foo a,b { cx a,b; }",
+        "gate foo a,b\n{\n  cx a,b;\n  h b;\n}",
+        "gate rot(theta) a { rz(theta) a; }",
+        "gate empty a { }",
+    ])
+    def test_gate_definition_rejected(self, definition):
+        text = f"OPENQASM 2.0;\nqreg q[2];\n{definition}\nh q[0];\n"
+        with pytest.raises(QasmError,
+                           match=r"^gate definitions are not supported"):
+            from_qasm(text)
+
+    def test_opaque_declaration_rejected(self):
+        with pytest.raises(QasmError,
+                           match=r"^opaque definitions are not supported"):
+            from_qasm("OPENQASM 2.0;\nqreg q[2];\nopaque magic a,b;\n")
+
+    def test_definition_after_statement_on_one_line(self):
+        with pytest.raises(QasmError, match=r"\(gate foo\)"):
+            from_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; gate foo a { x a; }")
+        # A definition inside a comment is no definition.
+        circuit = from_qasm("OPENQASM 2.0;\nqreg q[1];\n"
+                            "// gate foo a { x a; }\nh q[0];\n")
+        assert len(circuit) == 1

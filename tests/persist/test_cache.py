@@ -46,6 +46,21 @@ class TestStoreLoad:
             assert cache.load("0" * 64) is None
         assert cache.counters()["corrupt"] == 0
 
+    def test_level_9_entry_is_a_clean_hit(self, tmp_path):
+        # Entries stored before the compression level changed stay valid:
+        # keys fingerprint the inputs, and every gzip level decodes alike.
+        cache = CompileCache(tmp_path)
+        key, program = _fill(cache)
+        text = gzip.decompress(cache.path_for(key).read_bytes())
+        cache.path_for(key).write_bytes(
+            gzip.compress(text, compresslevel=9, mtime=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = cache.load(key)
+        assert loaded is not None
+        assert gzip.decompress(dumps_program(loaded, spans=False)) == text
+        assert cache.counters()["corrupt"] == 0
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = CompileCache(tmp_path)
         _fill(cache)

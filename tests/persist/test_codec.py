@@ -151,6 +151,19 @@ class TestProgramCodec:
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["kind"] == "compiled-program"
 
+    def test_level_9_artifact_loads_to_identical_text(self):
+        # Artifacts written before the level changed were gzip level 9.
+        program = _compiled(num_qubits=8, nodes=3, topology="ring")
+        data = dumps_program(program, spans=False)
+        text = gzip.decompress(data)
+        assert text == canonical_json(program_to_payload(
+            program) | {"spans": None}).encode("utf-8")
+        old = gzip.compress(text, compresslevel=9, mtime=0)
+        assert old != data
+        loaded = loads_program(old)
+        assert gzip.decompress(dumps_program(loaded, spans=False)) == text
+        assert dumps_program(loaded, spans=False) == data
+
     def test_save_load_binary(self, tmp_path):
         program = _compiled(num_qubits=8, nodes=3, topology="ring")
         path = tmp_path / "program.rpz"

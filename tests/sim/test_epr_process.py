@@ -4,8 +4,12 @@ import random
 
 import pytest
 
-from repro.hardware import DEFAULT_LATENCY, apply_topology, uniform_network
-from repro.sim import EPRProcess, EPRSample
+from repro import compile_autocomm
+from repro.circuits import qft_circuit
+from repro.hardware import (DEFAULT_LATENCY, LinkModel, apply_topology,
+                            uniform_network)
+from repro.sim import (EPRProcess, EPRSample, SimulationConfig,
+                       run_monte_carlo, simulate_program)
 
 
 @pytest.fixture
@@ -25,6 +29,50 @@ class TestValidation:
     def test_negative_retry_latency_rejected(self, network):
         with pytest.raises(ValueError):
             EPRProcess(network, p_success=0.5, retry_latency=-1.0)
+
+
+class TestLinkExhaustionBound:
+    """A link's ``p_success * p_epr`` is held to the same bound as
+    ``SimulationConfig.p_epr``, when the process is built."""
+
+    T_EPR = DEFAULT_LATENCY.t_epr
+
+    def _network(self, model, kind="all-to-all"):
+        return apply_topology(uniform_network(3, 2), kind, link_model=model)
+
+    def test_uniform_product_below_bound_rejected(self):
+        network = self._network(LinkModel.uniform_model(self.T_EPR,
+                                                        p_epr=1e-4))
+        with pytest.raises(ValueError, match="link 0-1") as excinfo:
+            EPRProcess(network, p_success=0.1)
+        message = str(excinfo.value)
+        assert "1e-05 per attempt" in message
+        assert "100000 attempts" in message
+        assert ">= 0.000208" in message
+        # Pair-level sampling never draws with the link's own p_epr.
+        assert not EPRProcess(network, p_success=0.1, per_link=False).per_link
+        # A product at or above the bound is accepted.
+        fair = self._network(LinkModel.uniform_model(self.T_EPR, p_epr=0.5))
+        assert EPRProcess(fair, p_success=0.5).per_link
+
+    def test_one_overridden_link_named(self):
+        model = LinkModel.from_spec({"links": {"1-2": {"p_epr": 1e-3}}},
+                                    base_t_epr=self.T_EPR)
+        network = self._network(model, kind="line")
+        with pytest.raises(ValueError, match="link 1-2"):
+            EPRProcess(network, p_success=0.1)
+        # Alone, the link's own p_epr is above the bound.
+        EPRProcess(network, p_success=1.0)
+
+    def test_monte_carlo_rejects_before_any_trial(self):
+        network = self._network(LinkModel.uniform_model(self.T_EPR,
+                                                        p_epr=1e-4))
+        program = compile_autocomm(qft_circuit(6), network)
+        with pytest.raises(ValueError, match="link 0-1"):
+            run_monte_carlo(program, SimulationConfig(p_epr=0.1, seed=1,
+                                                      trials=2))
+        # Ideal links ignore per-link success probabilities.
+        simulate_program(program, SimulationConfig(ideal_links=True))
 
 
 class TestDeterministicMode:

@@ -769,6 +769,18 @@ class TestOneLineErrors:
         assert "p_epr=1e-09 is too small" in err
         assert "p_epr >= 0.000208" in err
 
+    def test_link_p_epr_product_too_small(self, qasm_file, tmp_path,
+                                          capsys):
+        import json
+
+        spec = tmp_path / "lossy.json"
+        spec.write_text(json.dumps({"default": {"p_epr": 1e-4}}))
+        err = self._fails(["simulate", str(qasm_file), "--nodes", "2",
+                           "--topology", "line", "--link-spec", str(spec),
+                           "--p-epr", "0.1"], capsys)
+        assert "link 0-1: p_epr=0.0001 times p_success=0.1" in err
+        assert ">= 0.000208" in err
+
     @pytest.mark.parametrize("value", ["0", "1.5"])
     def test_p_epr_out_of_range(self, qasm_file, capsys, value):
         err = self._fails(["simulate", str(qasm_file), "--nodes", "2",

@@ -10,7 +10,9 @@ warnings included — across the matrix, and writes a JSON diagnostics
 report suitable for upload as a CI artifact.
 
 Each report entry also fingerprints its cell: the SHA-256 of the canonical
-artifact (``dumps_program(spans=False)``) and, when simulating, the
+artifact text with spans dropped (what ``dumps_program(spans=False)``
+compresses, so the digest does not depend on the compression) and, when
+simulating, the
 deterministic replay latency and the mean of a seeded 3-trial
 ``p_epr = 0.5`` Monte-Carlo run.  The reports of two commits that compile
 and schedule identically diff to empty.
@@ -39,7 +41,7 @@ if str(_SRC) not in sys.path:
 from repro.circuits import BENCHMARK_FAMILIES, build_benchmark
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.hardware import SUPPORTED_TOPOLOGIES, apply_topology
-from repro.persist import CompileCache, dumps_program
+from repro.persist import CompileCache, canonical_json, program_to_payload
 from repro.sim import SimulationConfig, run_monte_carlo, simulate_program
 from repro.verify import sanitize_simulation, verify_program
 
@@ -47,6 +49,18 @@ REMAP_MODES = ("never", "bursts")
 #: The seeded Monte-Carlo run whose mean each simulated entry records.
 MONTE_CARLO = SimulationConfig(p_epr=0.5, seed=11, trials=3,
                                record_trace=False, record_metrics=False)
+
+
+def _artifact_digest(program) -> str:
+    """SHA-256 of the program's canonical text, spans dropped.
+
+    Built from ``program_to_payload`` and ``canonical_json`` only, so this
+    script fingerprints older checkouts the same way.
+    """
+    payload = program_to_payload(program)
+    payload["spans"] = None
+    return hashlib.sha256(
+        canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def _compile(family: str, topology: str, remap: str, qubits: int,
@@ -74,8 +88,7 @@ def run_matrix(qubits: int, nodes: int, simulate: bool,
                     "family": family,
                     "topology": topology,
                     "remap": remap,
-                    "artifact_sha256": hashlib.sha256(
-                        dumps_program(program, spans=False)).hexdigest(),
+                    "artifact_sha256": _artifact_digest(program),
                 }
                 if simulate:
                     config = SimulationConfig(ideal_links=True)
@@ -101,7 +114,7 @@ def run_matrix(qubits: int, nodes: int, simulate: bool,
                         print(f"  {diagnostic}")
     payload = {
         "command": "verify_suite",
-        "schema": 2,
+        "schema": 3,
         "qubits": qubits,
         "nodes": nodes,
         "simulate": simulate,
